@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,7 +239,9 @@ class SuccessCurve:
         if not 0 <= total <= self.domain_max.euros:
             raise ValueError(
                 f"total {total} outside curve domain [0, {self.domain_max.euros}]")
-        i = bisect.bisect_right(self._cents, int(total * 100)) - 1
+        # The 1e-9 absorbs binary error (2.55 * 100 == 254.99...) without
+        # rounding up a total that is truly below a cent boundary.
+        i = bisect.bisect_right(self._cents, math.floor(total * 100 + 1e-9)) - 1
         return self.breakpoints[i][1]
 
     def steps(self) -> list[tuple[Money, Fraction]]:

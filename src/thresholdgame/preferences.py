@@ -122,6 +122,9 @@ class EqCondition:
 HOLDS_FOR_ANY_U = "any"
 #: A total that is not a strict symmetric equilibrium for any admissible utility.
 NEVER_EQUILIBRIUM = "never"
+#: A strict symmetric equilibrium whose condition does not reduce to a single
+#: inequality (``condition_from_curve`` raises ``NotImplementedError``).
+UNREDUCED = "unreduced"
 
 ConditionResult = Union[EqCondition, str]
 

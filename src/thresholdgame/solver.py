@@ -9,15 +9,18 @@ notions disagree for some utilities, and both are reported.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
-from .game import DEFAULT_GAME, GameSpec, SuccessCurve, TREATMENTS, build_success_curve, make_scenario
+import numpy as np
+
+from .game import DEFAULT_GAME, GameSpec, SuccessCurve, build_success_curve, make_scenario
 from .money import Money
 from .preferences import (
     HOLDS_FOR_ANY_U,
     NEVER_EQUILIBRIUM,
+    UNREDUCED,
     ConditionResult,
     EqCondition,
     PowerUtility,
@@ -80,52 +83,59 @@ class PayoffTable:
     """Payoffs indexed by (own grid index, others'-total grid index).
 
     Payoffs depend on opponents only through their total, so one table serves
-    every profile; enumeration may be partitioned by profile range and merged
-    order-independently.
+    every profile: a profile whose grid indices sum to ``t`` is Nash iff every
+    own index ``g`` is a best reply at others' index ``t - g``.
     """
 
     def __init__(self, curve: SuccessCurve, u: UtilityFn, game: GameSpec):
         self.game = game
         self.grid = game.contribution_grid()
-        step = game.grid_step
-        n_others = (game.n_players - 1) * (game.endowment // step)
-        self.payoff = [
-            [
-                u((game.endowment - c).euros) * float(curve.value_at(c + step * s))
-                for s in range(n_others + 1)
-            ]
-            for c in self.grid
-        ]
-        self.best = [max(col) for col in zip(*self.payoff)]
+        g = np.arange(len(self.grid))
+        s = np.arange((game.n_players - 1) * g[-1] + 1)
+        u_keep = np.array([u((game.endowment - c).euros) for c in self.grid])
+        self.payoff = u_keep[:, None] * _curve_values(curve, game)[g[:, None] + s]
+        # Another strategy ties a cell iff the best of the other rows comes
+        # within TIE_TOL of it.  That best is the column's second-largest entry
+        # when the cell holds the maximum, and at least the cell's payoff if not.
+        runner_up = (np.partition(self.payoff, -2, 0)[-2] if len(g) > 1
+                     else np.full(len(s), -np.inf))
+        # Per-cell flags as nested lists: classification reads them one cell at a time.
+        self.nash = (self.payoff.max(0) <= self.payoff + TIE_TOL).tolist()
+        self.tied = (runner_up >= self.payoff - TIE_TOL).tolist()
+        self.zero = (np.abs(self.payoff) <= TIE_TOL).tolist()
         self._dominated: list[bool] | None = None
-
-    def others_index(self, others_total: Money) -> int:
-        if not others_total.is_multiple_of(self.game.grid_step):
-            raise ValueError(f"others' total {others_total} off the grid")
-        return others_total // self.game.grid_step
-
-    def grid_index(self, c: Money) -> int:
-        if not self.game.on_grid(c):
-            raise ValueError(f"contribution {c} off the grid")
-        return c // self.game.grid_step
 
     def dominated(self) -> list[bool]:
         """Textbook weak dominance per strategy, over all opponent totals."""
         if self._dominated is None:
-            flags = []
-            for gi, row in enumerate(self.payoff):
-                dominated = False
-                for gj, other in enumerate(self.payoff):
-                    if gj == gi:
-                        continue
-                    ge_all = all(o >= r - TIE_TOL for o, r in zip(other, row))
-                    gt_some = any(o > r + TIE_TOL for o, r in zip(other, row))
-                    if ge_all and gt_some:
-                        dominated = True
-                        break
-                flags.append(dominated)
-            self._dominated = flags
+            p = self.payoff
+            self._dominated = [
+                bool(((p >= row - TIE_TOL).all(1) & (p > row + TIE_TOL).any(1)).any())
+                for row in p]
         return self._dominated
+
+    def verdict(self, gis: Sequence[int], canonical: set[int]) -> tuple[bool, bool, bool] | None:
+        """(weak, zero payoff, excluded by the paper filter) if the profile of
+        grid indices is Nash, else None; ``canonical`` holds total indices."""
+        t = sum(gis)
+        weak, zero = False, True
+        for g in gis:
+            if not self.nash[g][t - g]:
+                return None
+            weak = weak or self.tied[g][t - g]
+            zero = zero and self.zero[g][t - g]
+        return weak, zero, weak or zero or t not in canonical
+
+
+@lru_cache(maxsize=64)
+def _curve_values(curve: SuccessCurve, game: GameSpec) -> np.ndarray:
+    """Float p(C) at every grid total from 0 to the game's maximum.
+
+    Cached and read-only: every utility in a sweep reuses its curve's values."""
+    values = np.array([float(curve.value_at(game.grid_step * t))
+                       for t in range(game.max_total // game.grid_step + 1)])
+    values.flags.writeable = False
+    return values
 
 
 def best_deviation(
@@ -142,18 +152,14 @@ def best_deviation(
     """
     profile.validate(game)
     table = PayoffTable(curve, u, game)
-    return _best_deviation(table, profile, player)
-
-
-def _best_deviation(table: PayoffTable, profile: Profile, player: int) -> tuple[Money, float]:
-    others = profile.total - profile.contributions[player]
-    si = table.others_index(others)
-    current_gi = table.grid_index(profile.contributions[player])
-    current = table.payoff[current_gi][si]
+    si = (profile.total - profile.contributions[player]) // game.grid_step
+    current_gi = profile.contributions[player] // game.grid_step
+    column = table.payoff[:, si].tolist()
+    current = column[current_gi]
     best_gi, best_val = current_gi, current
-    for gi, row in enumerate(table.payoff):
-        if row[si] > best_val + TIE_TOL:
-            best_gi, best_val = gi, row[si]
+    for gi, value in enumerate(column):
+        if value > best_val + TIE_TOL:
+            best_gi, best_val = gi, value
     if best_gi == current_gi:
         return profile.contributions[player], 0.0
     return table.grid[best_gi], best_val - current
@@ -168,50 +174,42 @@ def classify_profile(
     """EquilibriumRecord if the profile is Nash, else None."""
     profile.validate(game)
     table = PayoffTable(curve, u, game)
-    return _classify(table, profile, curve)
+    gis = [c // game.grid_step for c in profile.contributions]
+    return _classify(table, gis, curve, _canonical_indices(curve, game))
 
 
 def _canonical_totals(curve: SuccessCurve) -> set[Money]:
     return {Money(0)} | set(curve.candidate_totals) | {c for c, _ in curve.breakpoints}
 
 
+def _canonical_indices(curve: SuccessCurve, game: GameSpec) -> set[int]:
+    """Grid-index totals of the canonical totals that lie on the grid."""
+    step = game.grid_step
+    return {c // step for c in _canonical_totals(curve) if c.is_multiple_of(step)}
+
+
 def _classify(
-    table: PayoffTable, profile: Profile, curve: SuccessCurve
+    table: PayoffTable, gis: Sequence[int], curve: SuccessCurve, canonical: set[int]
 ) -> EquilibriumRecord | None:
-    total = profile.total
-    gis = [table.grid_index(c) for c in profile.contributions]
-    total_si = sum(gis)
-    payoffs = []
-    weak = False
-    for gi in gis:
-        si = total_si - gi
-        own = table.payoff[gi][si]
-        if table.best[si] > own + TIE_TOL:
-            return None
-        payoffs.append(own)
-        if not weak:
-            weak = any(
-                gj != gi and row[si] >= own - TIE_TOL
-                for gj, row in enumerate(table.payoff)
-            )
-    zero = all(abs(p) <= TIE_TOL for p in payoffs)
-    dominated_flags = table.dominated()
-    dominated = any(dominated_flags[gi] for gi in gis)
-    canonical = _canonical_totals(curve)
+    verdict = table.verdict(gis, canonical)
+    if verdict is None:
+        return None
+    weak, zero, excluded = verdict
+    game, t = table.game, sum(gis)
+    total = game.grid_step * t
     condition: ConditionResult | None = None
-    if profile.is_symmetric and total in canonical:
+    if t in canonical and len(set(gis)) == 1:
         try:
-            condition = condition_from_curve(curve, total, table.game)
+            condition = condition_from_curve(curve, total, game)
         except NotImplementedError:
-            condition = None
-    kind: Literal["strict", "weak"] = "weak" if weak else "strict"
-    excluded = weak or zero or total not in canonical
+            condition = UNREDUCED
+    dominated = table.dominated()
     return EquilibriumRecord(
-        profile=profile,
+        profile=Profile(tuple(table.grid[g] for g in gis)),
         total=total,
-        kind=kind,
+        kind="weak" if weak else "strict",
         zero_payoff=zero,
-        weakly_dominated_strategy=dominated,
+        weakly_dominated_strategy=any(dominated[g] for g in gis),
         paper_filter_excluded=excluded,
         supporting_condition=condition,
     )
@@ -231,15 +229,26 @@ def enumerate_symmetric(
     if filter_mode not in ("raw", "paper"):
         raise ValueError(f"filter_mode must be 'raw' or 'paper', got {filter_mode!r}")
     table = PayoffTable(curve, u, game)
-    records = []
-    for c in game.contribution_grid():
-        rec = _classify(table, Profile((c,) * game.n_players), curve)
-        if rec is None:
-            continue
-        if filter_mode == "paper" and rec.paper_filter_excluded:
-            continue
-        records.append(rec)
-    return sorted(records, key=lambda r: r.total)
+    canonical = _canonical_indices(curve, game)
+    records = (_classify(table, (g,) * game.n_players, curve, canonical)
+               for g in range(len(table.grid)))
+    return [r for r in records
+            if r is not None and not (filter_mode == "paper" and r.paper_filter_excluded)]
+
+
+def _compositions(total: int, parts: list[int], n: int) -> list[tuple[int, ...]]:
+    """n-tuples of the ascending ``parts`` that sum to ``total``, in lexicographic order."""
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def tails(rest: int, k: int) -> list[tuple[int, ...]]:
+        if k == 0:
+            return [()] if rest == 0 else []
+        if (rest, k) not in memo:
+            memo[rest, k] = [(g,) + tail for g in parts if g <= rest
+                             for tail in tails(rest - g, k - 1)]
+        return memo[rest, k]
+
+    return tails(total, n)
 
 
 def enumerate_all_profiles(
@@ -248,22 +257,26 @@ def enumerate_all_profiles(
     game: GameSpec = DEFAULT_GAME,
     cap: int = 6 ** 5,
 ) -> list[EquilibriumRecord]:
-    """Exhaustive Nash enumeration over every grid profile (the brute-force oracle)."""
-    table = PayoffTable(curve, u, game)
-    n_grid = len(table.grid)
-    required = n_grid ** game.n_players
+    """Every Nash profile on the grid, sorted by (total, contributions).
+
+    Goes by profile total: at grid-index total ``t`` the Nash profiles are the
+    compositions of ``t`` whose parts are all best replies at ``t``.  ``cap``
+    bounds the size of the full profile space, as for an exhaustive search.
+    """
+    n, n_grid = game.n_players, len(game.contribution_grid())
+    required = n_grid ** n
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
-    payoff = table.payoff
-    best = table.best
+    table = PayoffTable(curve, u, game)
+    n_others = table.payoff.shape[1]
+    canonical = _canonical_indices(curve, game)
     records = []
-    for gis in itertools.product(range(n_grid), repeat=game.n_players):
-        total_si = sum(gis)
-        if any(best[total_si - gi] > payoff[gi][total_si - gi] + TIE_TOL for gi in gis):
-            continue
-        profile = Profile(tuple(table.grid[gi] for gi in gis))
-        records.append(_classify(table, profile, curve))
-    return sorted(records, key=lambda r: (r.total, r.profile.contributions))
+    for t in range(n * (n_grid - 1) + 1):
+        ok = [g for g in range(max(0, t - n_others + 1), min(t, n_grid - 1) + 1)
+              if table.nash[g][t - g]]
+        records += [_classify(table, gis, curve, canonical)
+                    for gis in _compositions(t, ok, n)]
+    return records
 
 
 @dataclass(frozen=True)
@@ -300,14 +313,7 @@ def equilibrium_table(
     treatments: Sequence[str] = TABLE_TREATMENTS,
 ) -> EquilibriumTable:
     """Paper-mode equilibrium totals per treatment for one utility function."""
-    cells = set()
-    totals: set[Money] = set()
-    for label in treatments:
-        curve = build_success_curve(make_scenario(label), alpha, game)
-        totals |= _canonical_totals(curve)
-        for rec in enumerate_symmetric(curve, u, game, "paper"):
-            cells.add((label, rec.total))
-    return EquilibriumTable(tuple(sorted(totals)), tuple(treatments), frozenset(cells))
+    return _paper_table([u], alpha, game, treatments)
 
 
 def robust_table(
@@ -332,12 +338,27 @@ def robust_table(
     else:
         ratio = hi / lo
         rhos = [lo * ratio ** (i / (samples - 1)) for i in range(samples)]
+    return _paper_table([PowerUtility(rho) for rho in rhos], alpha, game, treatments)
+
+
+def _paper_table(
+    utilities: Sequence[UtilityFn], alpha: float, game: GameSpec, treatments: Sequence[str]
+) -> EquilibriumTable:
+    """Cells whose symmetric profile survives paper mode under every utility."""
+    curves = [build_success_curve(make_scenario(label), alpha, game) for label in treatments]
+    totals = set().union(*map(_canonical_totals, curves))
+    arms = [(label, curve, _canonical_indices(curve, game))
+            for label, curve in zip(treatments, curves)]
+    n = game.n_players
     cells: set[tuple[str, Money]] | None = None
-    totals: set[Money] = set()
-    for rho in rhos:
-        table = equilibrium_table(PowerUtility(rho), alpha, game, treatments)
-        totals |= set(table.totals)
-        step_cells = set(table.cells)
+    for u in utilities:
+        step_cells = set()
+        for label, curve, canonical in arms:
+            table = PayoffTable(curve, u, game)
+            for g in (t // n for t in canonical if t % n == 0):
+                verdict = table.verdict((g,) * n, canonical)
+                if verdict is not None and not verdict[2]:
+                    step_cells.add((label, game.grid_step * (g * n)))
         cells = step_cells if cells is None else cells & step_cells
     return EquilibriumTable(tuple(sorted(totals)), tuple(treatments), frozenset(cells or set()))
 
@@ -397,6 +418,8 @@ def _condition_text(cond: ConditionResult) -> str:
         return "holds for any u"
     if cond == NEVER_EQUILIBRIUM:
         return "never an equilibrium"
+    if cond == UNREDUCED:
+        return "does not reduce"
     return str(cond)
 
 
@@ -458,6 +481,8 @@ def records_to_csv_rows(records: Iterable[EquilibriumRecord], treatment: str) ->
             cond_text, rho = "holds for any u", ""
         elif cond == NEVER_EQUILIBRIUM:
             cond_text, rho = "never", ""
+        elif cond == UNREDUCED:
+            cond_text, rho = "does not reduce", ""
         else:
             cond_text, rho = "", ""
         rows.append({

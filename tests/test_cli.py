@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,21 @@ def test_hypotheses_report(capsys):
     code, out = run(["hypotheses", "--alpha", "1"], capsys)
     assert code == 0
     assert "H1" in out and "supported" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("solve_raw_alpha1_rho0.7_step0.50.csv",
+     ["solve", "--alpha", "1", "--rho", "0.7", "--mode", "raw", "--grid-step", "0.50"]),
+    ("sweep_alpha1_step0.50.csv", ["sweep", "--alpha", "1", "--grid-step", "0.50"]),
+    ("hypotheses_alpha0.5.txt", ["hypotheses", "--alpha", "0.5"]),
+])
+def test_theory_artifacts_match_golden_bytes(tmp_path, capsys, golden, argv):
+    out = tmp_path / golden
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

@@ -100,6 +100,15 @@ def test_eval_curve_fine_grid_below_breakpoint():
     assert eval_curve(ra, Money(999)) == F(1, 10)  # 9.99 still on the low step
 
 
+def test_value_at_euros_absorbs_binary_error_only():
+    # 2.55 * 100 == 254.99999999999997 in binary floating point.
+    odd = SuccessCurve(((Money(0), F(1, 10)), (Money(255), F(9, 10))), E(25))
+    assert odd.value_at_euros(2.55) == odd.value_at(Money(255)) == F(9, 10)
+    rr = build_success_curve(make_scenario("RR"), 1.0)
+    assert rr.value_at_euros(4.996) == F(1, 10)  # not rounded up to the 5 threshold
+    assert rr.value_at_euros(5.0) == F(1, 2)
+
+
 def test_eval_curve_rejects_out_of_domain():
     rr = build_success_curve(make_scenario("RR"), 1.0)
     with pytest.raises(ValueError):

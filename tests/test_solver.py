@@ -1,18 +1,27 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thresholdgame.game import DEFAULT_GAME, GameSpec, build_success_curve, make_scenario
+from thresholdgame.game import (
+    DEFAULT_GAME,
+    GameSpec,
+    SuccessCurve,
+    build_success_curve,
+    make_scenario,
+)
 from thresholdgame.money import Money
 from thresholdgame.preferences import (
     EqCondition,
     HOLDS_FOR_ANY_U,
+    UNREDUCED,
     PowerUtility,
     TableUtility,
     check_condition,
 )
 from thresholdgame.solver import (
+    TABLE_TREATMENTS,
     EnumerationCapExceeded,
     Profile,
     best_deviation,
@@ -40,6 +49,14 @@ def symmetric(c_euros):
 
 def totals(records):
     return [r.total for r in records]
+
+
+def brute_force(c, u, game=DEFAULT_GAME):
+    """Test oracle: classify_profile on every grid profile, in enumeration order."""
+    profiles = itertools.product(game.contribution_grid(), repeat=game.n_players)
+    records = (classify_profile(Profile(p), c, u, game) for p in profiles)
+    return sorted((r for r in records if r is not None),
+                  key=lambda r: (r.total, r.profile.contributions))
 
 
 # --- best deviation -------------------------------------------------------------
@@ -166,7 +183,78 @@ def test_enumeration_cap():
         enumerate_all_profiles(curve("RR", game=fine), RN, fine)
 
 
+STEP_050 = GameSpec(grid_step=Money(50))
+CONCAVE = TableUtility([(0, 0), (1, 1.5), (2, 2.2), (3, 2.9), (4, 3.1), (5, 3.3)])
+
+
+@pytest.mark.parametrize("label, alpha, u", [
+    (label, alpha, PowerUtility(rho)) for label, alpha, rho in itertools.product(
+        TABLE_TREATMENTS, (0.0, 0.5, 1.0), (0.2, 0.7, 1.0, 3.0, 10.0))
+] + [("AR", 1.0, CONCAVE)], ids=str)
+def test_enumeration_by_total_matches_brute_force(label, alpha, u):
+    c = curve(label, alpha)
+    assert enumerate_all_profiles(c, u) == brute_force(c, u)
+
+
+@pytest.mark.parametrize("label", TABLE_TREATMENTS)
+def test_enumeration_by_total_matches_brute_force_three_players(label):
+    game = GameSpec(n_players=3, grid_step=Money(50))
+    c = curve(label, game=game)
+    u = PowerUtility(0.7)
+    assert enumerate_all_profiles(c, u, game) == brute_force(c, u, game)
+
+
+@pytest.mark.parametrize("game, counts", [
+    (DEFAULT_GAME, (123, 382, 228, 908)),
+    (STEP_050, (1103, 5632, 1828, 10279)),
+])
+def test_equilibrium_counts_pinned(game, counts):
+    u = PowerUtility(0.7)
+    found = tuple(len(enumerate_all_profiles(curve(label, game=game), u, game, cap=11 ** 5))
+                  for label in TABLE_TREATMENTS)
+    assert found == counts
+
+
+def test_unreduced_condition_is_recorded():
+    # At C=5, raising one's own 1 to 2 reaches the 3/5 step while keeping
+    # less money: a requirement outside the u(L) < k*u(m) form.
+    odd = SuccessCurve(((Money(0), F(1, 10)), (E(5), F(1, 2)), (E(6), F(3, 5))), E(25))
+    rec = classify_profile(symmetric(1), odd, RN)
+    assert rec is not None and rec.kind == "strict"
+    assert rec.supporting_condition == UNREDUCED
+    row, = records_to_csv_rows([rec], "odd")
+    assert (row["condition"], row["rho_threshold"]) == ("does not reduce", "")
+
+
 # --- tables ----------------------------------------------------------------------
+
+def reference_table(utilities, alpha, game=DEFAULT_GAME):
+    """Cells kept by paper-mode symmetric enumeration under every utility."""
+    cells = None
+    for u in utilities:
+        kept = {(label, r.total) for label in TABLE_TREATMENTS
+                for r in enumerate_symmetric(curve(label, alpha, game), u, game, "paper")}
+        cells = kept if cells is None else cells & kept
+    return cells
+
+
+@pytest.mark.parametrize("game", (DEFAULT_GAME, STEP_050), ids=("step1.00", "step0.50"))
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 1.0))
+def test_tables_match_symmetric_enumeration(alpha, game):
+    for rho in (0.2, 0.7, 1.0, 1.2, 3.0, 10.0):
+        u = PowerUtility(rho)
+        assert equilibrium_table(u, alpha, game).cells == reference_table([u], alpha, game)
+    rhos = [0.2 * 50 ** (i / 9) for i in range(10)]
+    sweep = robust_table(alpha=alpha, samples=10, game=game)
+    assert sweep.cells == reference_table([PowerUtility(r) for r in rhos], alpha, game)
+
+
+def test_equilibrium_table_on_fine_grid():
+    fine = GameSpec(grid_step=Money(5))
+    table = equilibrium_table(RN, 1.0, fine)
+    assert table.cells == reference_table([RN], 1.0, fine)
+    assert {E(0), E(5), E(10)} <= set(table.totals)
+
 
 def assert_table(table, expected):
     for treatment, wanted in expected.items():
