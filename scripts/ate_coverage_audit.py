@@ -12,6 +12,7 @@ import argparse
 import math
 
 from thresholdgame.econometrics import ate_report
+from thresholdgame.game import ARMS
 from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
 
 
@@ -20,7 +21,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=400)
     args = parser.parse_args()
 
-    within = {"AR": 0, "RA": 0, "AA": 0}
+    within = dict.fromkeys(ARMS[1:], 0)  # each arm against the RR baseline
     for seed in range(args.seeds):
         data = records_to_dataset(run_experiment(SimConfig(), seed))
         ate = ate_report(data)

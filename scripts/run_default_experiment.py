@@ -1,25 +1,10 @@
 #!/usr/bin/env python3
-"""Simulate the default 1500-subject experiment and run the analysis suite
-on it: balance, treatment effects, the contribution and belief regressions,
-interactions, the pivotal model, dispersion, and the design's MDE."""
+"""Simulate the default 1500-subject experiment and run the analysis battery
+on it (the sections of ``thresholdgame analyze``), then the design's MDE."""
 import argparse
 
-from thresholdgame.econometrics import (
-    ate_report,
-    balance_table,
-    beliefs_model,
-    contribution_model,
-    interaction_model,
-    mde,
-    pivotal_model,
-    polarization,
-)
+from thresholdgame.econometrics import analysis_battery, mde
 from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
-
-BALANCE_COVS = ("age", "female", "education", "patience", "ambiguity_aversion",
-                "risk_aversion", "crt", "math_ability", "altruism", "envy",
-                "ideology", "gravity", "number_actions", "unemployed",
-                "social_transfer")
 
 
 def main() -> None:
@@ -36,22 +21,9 @@ def main() -> None:
         print(f"wrote {args.out}")
 
     print(f"Simulated {len(data)} subjects (seed {args.seed})\n")
-    print("Balance across arms:")
-    print(balance_table(data, BALANCE_COVS).render())
-    print("\nRaw treatment effects:")
-    print(ate_report(data).summary())
-    print("\nContribution regression (with beliefs):")
-    print(contribution_model(data).summary())
-    print("\nBelief regression:")
-    print(beliefs_model(data).summary())
-    print("\nRisk-aversion interactions:")
-    print(interaction_model(data, "risk_aversion").summary())
-    print("\nPivotal / stated-accuracy model:")
-    print(pivotal_model(data).summary())
-    print("\nDispersion vs the all-risk arm:")
-    for arm in ("AR", "RA", "AA"):
-        print(polarization(data, arm, "RR").render())
-    print("\nDesign power:")
+    for name, _, text in analysis_battery(data):
+        print(f"== {name}\n{text}\n")
+    print("Design power:")
     print(mde(4, args.n // 4, 1.39, mc_replications=10_000, seed=args.seed).render())
 
 

@@ -4,72 +4,4 @@ Three layers: the game core (scenarios, success curves, equilibrium solving),
 a calibrated synthetic-experiment generator, and an analysis engine (robust
 OLS, balance tests, power/MDE).
 """
-from .money import Money
-from .game import (
-    AmbiguityScenario,
-    DEFAULT_GAME,
-    GameSpec,
-    ProbInterval,
-    SuccessCurve,
-    ThresholdSpec,
-    TREATMENTS,
-    build_success_curve,
-    eval_curve,
-    make_scenario,
-    scenario_from_json,
-    scenario_to_json,
-)
-from .preferences import (
-    EqCondition,
-    HOLDS_FOR_ANY_U,
-    NEVER_EQUILIBRIUM,
-    PowerUtility,
-    RISK_NEUTRAL,
-    TableUtility,
-    check_condition,
-    condition_for,
-    eval_objective,
-    power_threshold,
-    utility_from_json,
-)
-from .solver import (
-    EquilibriumRecord,
-    EquilibriumTable,
-    Profile,
-    best_deviation,
-    classify_profile,
-    enumerate_all_profiles,
-    enumerate_symmetric,
-    equilibrium_table,
-    hypothesis_report,
-    robust_table,
-)
-from .simulator import (
-    BehavioralRule,
-    CovariateProfile,
-    SimConfig,
-    SubjectRecord,
-    gen_belief,
-    gen_contribution,
-    randomize,
-    realize_payoffs,
-    records_to_dataset,
-    run_experiment,
-    success_probability,
-    synth_covariates,
-)
-from .data import Dataset
-from .econometrics import (
-    BalanceTable,
-    PowerReport,
-    RegressionResult,
-    ate_report,
-    balance_table,
-    interaction_model,
-    mde,
-    ols_hc1,
-    pivotal_model,
-    polarization,
-)
-
 __version__ = "0.1.0"

@@ -22,17 +22,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset
-from .econometrics import (
-    RankDeficientError,
-    ate_report,
-    balance_table,
-    beliefs_model,
-    contribution_model,
-    interaction_model,
-    mde,
-    pivotal_model,
-    polarization,
-)
+from .econometrics import RankDeficientError, analysis_battery, mde
 from .game import (
     GameSpec,
     TREATMENTS,
@@ -58,12 +48,6 @@ from .solver import (
 )
 
 OUT_DIR_ENV = "THRESHOLDGAME_OUT"
-
-BALANCE_COVARIATES = (
-    "age", "female", "education", "patience", "ambiguity_aversion",
-    "risk_aversion", "crt", "math_ability", "altruism", "envy", "ideology",
-    "gravity", "number_actions", "unemployed", "social_transfer",
-)
 
 
 def _config_hash(payload: dict) -> str:
@@ -205,7 +189,7 @@ def cmd_sweep(args, config) -> int:
                  "robust": int(table.has(tr, t))}
                 for tr in table.treatments for t in table.totals]
         payload = {"command": "sweep", "alpha": alpha, "rho_range": [lo, hi],
-                   "samples": samples}
+                   "samples": samples, "grid_step": str(game.grid_step)}
         _write_rows_csv(out, rows, _header(payload))
         print(f"wrote {out}")
     return 0
@@ -213,12 +197,13 @@ def cmd_sweep(args, config) -> int:
 
 def cmd_hypotheses(args, config) -> int:
     alpha = _opt(args, config, "alpha", 1.0)
-    report = hypothesis_report(alpha, _game_from(args, config))
+    game = _game_from(args, config)
+    report = hypothesis_report(alpha, game)
     text = report.render()
     print(text)
     out = _resolve_out(args.out)
     if out:
-        payload = {"command": "hypotheses", "alpha": alpha}
+        payload = {"command": "hypotheses", "alpha": alpha, "grid_step": str(game.grid_step)}
         header = "".join(f"# {ln}\n" for ln in _header(payload).splitlines())
         out.write_text(header + text + "\n", encoding="utf-8")
         print(f"wrote {out}")
@@ -257,61 +242,13 @@ def cmd_analyze(args, config) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"command": "analyze", "data": os.path.basename(args.data)}
     header = _header(payload)
-
-    def emit(name: str, rows: list[dict], text: str) -> None:
+    for name, rows, text in analysis_battery(data):
         print(f"== {name}")
         print(text)
         print()
         if out_dir:
             _write_rows_csv(out_dir / f"{name}.csv", rows, header)
-
-    bal = balance_table(data, [c for c in BALANCE_COVARIATES if c in data.columns])
-    emit("balance", bal.to_csv_rows(), bal.render())
-    ate = ate_report(data)
-    emit("ate", ate.to_csv_rows(), ate.summary())
-    contrib = contribution_model(data)
-    emit("contribution_model", contrib.to_csv_rows(), contrib.summary())
-    beliefs = beliefs_model(data)
-    emit("beliefs_model", beliefs.to_csv_rows(), beliefs.summary())
-    for moderator in ("risk_aversion", "ambiguity_aversion"):
-        inter = interaction_model(data, moderator)
-        emit(f"interactions_{moderator}", inter.to_csv_rows(), inter.summary())
-    piv = pivotal_model(data)
-    emit("pivotal_model", piv.to_csv_rows(), piv.summary())
-    pol_rows, pol_texts = [], []
-    arms_present = sorted(set(data.strings("treatment")))
-    for arm in arms_present:
-        if arm == "RR":
-            continue
-        rep = polarization(data, arm, "RR")
-        pol_texts.append(rep.render())
-        pol_rows.append({
-            "arm": arm, "baseline": "RR",
-            "variance_arm": rep.variance_a, "variance_baseline": rep.variance_b,
-            "variance_ratio": rep.variance_ratio, "p_value": rep.p_value,
-            "share_zero_arm": rep.share_zero_a, "share_max_arm": rep.share_max_a,
-        })
-    emit("polarization", pol_rows, "\n".join(pol_texts))
-    hist_rows = _histogram_rows(data)
-    emit("histogram", hist_rows,
-         "\n".join(f"{r['treatment']} C={r['contribution']}: {r['share']:.3f}"
-                   for r in hist_rows))
     return 0
-
-
-def _histogram_rows(data: Dataset) -> list[dict]:
-    arms = data.strings("treatment")
-    contrib = data.numeric("contribution")
-    rows = []
-    for arm in sorted(set(arms)):
-        values = contrib[np.array([t == arm for t in arms])]
-        values = values[~np.isnan(values)]
-        levels = sorted(set(values.tolist()))
-        for level in levels:
-            count = int(np.sum(values == level))
-            rows.append({"treatment": arm, "contribution": f"{level:g}",
-                         "count": count, "share": count / len(values)})
-    return rows
 
 
 def cmd_power(args, config) -> int:

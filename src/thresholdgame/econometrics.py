@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
 from .data import Dataset
+from .game import ARMS, DEFAULT_GAME
 
 
 class RankDeficientError(ValueError):
@@ -44,17 +45,22 @@ class DesignMatrix:
         return int(np.linalg.matrix_rank(self.X))
 
 
-ARM_ORDER = ("AR", "RA", "AA")  # dummies relative to the RR baseline
+#: Every contrast is against this arm.
+BASELINE = ARMS[0]
 
 
-def arm_dummies(data: Dataset, baseline: str = "RR") -> dict[str, np.ndarray]:
-    arms = data.strings("treatment")
+def _comparison_arms(arms: Sequence[str]) -> list[str]:
+    """Arms present other than the baseline: the experiment order, then any
+    unknown labels sorted."""
     present = sorted(set(arms))
-    if baseline not in present:
-        raise ValueError(f"baseline arm {baseline!r} absent; arms present: {present}")
-    order = [a for a in ARM_ORDER if a in present] + [
-        a for a in present if a != baseline and a not in ARM_ORDER]
-    return {a: np.array([1.0 if t == a else 0.0 for t in arms]) for a in order}
+    if BASELINE not in present:
+        raise ValueError(f"baseline arm {BASELINE!r} absent; arms present: {present}")
+    return [a for a in ARMS[1:] if a in present] + [a for a in present if a not in ARMS]
+
+
+def arm_dummies(data: Dataset) -> dict[str, np.ndarray]:
+    arms = data.strings("treatment")
+    return {a: np.array([1.0 if t == a else 0.0 for t in arms]) for a in _comparison_arms(arms)}
 
 
 def build_design(
@@ -62,12 +68,9 @@ def build_design(
     response: str,
     regressors: Sequence[str],
     extra: Mapping[str, np.ndarray] | None = None,
-    intercept: bool = True,
 ) -> DesignMatrix:
-    """Assemble named columns; rows with any missing value are dropped."""
-    cols: dict[str, np.ndarray] = {}
-    if intercept:
-        cols["const"] = np.ones(len(data))
+    """Assemble named columns after a constant; rows with any missing value are dropped."""
+    cols: dict[str, np.ndarray] = {"const": np.ones(len(data))}
     for name in regressors:
         cols[name] = data.numeric(name)
     for name, values in (extra or {}).items():
@@ -226,19 +229,13 @@ class BalanceTable:
         return out
 
 
-def balance_table(
-    data: Dataset, covariates: Sequence[str], baseline: str = "RR"
-) -> BalanceTable:
+def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
     """Baseline means and Welch-test p-values for each arm against the baseline."""
     arms = data.strings("treatment")
-    present = [a for a in dict.fromkeys(arms)]  # keep first-seen order
-    if baseline not in present:
-        raise ValueError(f"baseline arm {baseline!r} not present")
-    others = [a for a in ("AR", "RA", "AA") if a in present and a != baseline]
-    others += [a for a in present if a != baseline and a not in others]
+    others = _comparison_arms(arms)
     if not others:
         raise ValueError("need at least two arms for a balance table")
-    base_mask = [t == baseline for t in arms]
+    base_mask = [t == BASELINE for t in arms]
     means: dict[str, float] = {}
     pvals: dict[tuple[str, str], float] = {}
     for cov in covariates:
@@ -258,17 +255,17 @@ def balance_table(
             else:
                 p = float(stats.ttest_ind(base_vals, other_vals, equal_var=False).pvalue)
             pvals[(cov, a)] = p
-    return BalanceTable(baseline, tuple(others), tuple(covariates), means, pvals)
+    return BalanceTable(BASELINE, tuple(others), tuple(covariates), means, pvals)
 
 
 # --- treatment effect models ---------------------------------------------------
 
-def ate_report(data: Dataset, outcome: str = "contribution", baseline: str = "RR") -> RegressionResult:
-    """Outcome on arm dummies only: the raw treatment-effect column."""
-    dummies = arm_dummies(data, baseline)
+def ate_report(data: Dataset) -> RegressionResult:
+    """Contribution on arm dummies only: the raw treatment-effect column."""
+    dummies = arm_dummies(data)
     if not dummies:
         raise ValueError("single-arm data: no treatment contrasts to estimate")
-    design = build_design(data, outcome, [], extra=dummies)
+    design = build_design(data, "contribution", [], extra=dummies)
     return ols_hc1(design)
 
 
@@ -278,58 +275,43 @@ CONTRIBUTION_CONTROLS = (
 )
 
 
-def contribution_model(
-    data: Dataset,
-    controls: Sequence[str] = CONTRIBUTION_CONTROLS,
-    include_beliefs: bool = True,
-    baseline: str = "RR",
-) -> RegressionResult:
+def contribution_model(data: Dataset, include_beliefs: bool = True) -> RegressionResult:
     """The full contribution regression: arms, controls, attitudes, beliefs."""
-    regressors = list(controls) + ["risk_aversion", "ambiguity_aversion"]
+    regressors = list(CONTRIBUTION_CONTROLS) + ["risk_aversion", "ambiguity_aversion"]
     if include_beliefs:
         regressors.append("belief")
-    design = build_design(data, "contribution", regressors,
-                          extra=arm_dummies(data, baseline))
+    design = build_design(data, "contribution", regressors, extra=arm_dummies(data))
     return ols_hc1(design)
 
 
-def beliefs_model(
-    data: Dataset,
-    controls: Sequence[str] = CONTRIBUTION_CONTROLS,
-    baseline: str = "RR",
-) -> RegressionResult:
+def beliefs_model(data: Dataset) -> RegressionResult:
     """Belief regression: what predicts expectations about others."""
-    regressors = list(controls) + ["risk_aversion", "ambiguity_aversion"]
-    design = build_design(data, "belief", regressors, extra=arm_dummies(data, baseline))
+    regressors = list(CONTRIBUTION_CONTROLS) + ["risk_aversion", "ambiguity_aversion"]
+    design = build_design(data, "belief", regressors, extra=arm_dummies(data))
     return ols_hc1(design)
 
 
 INTERACTION_CONTROLS = ("age", "crt", "belief")
 
 
-def interaction_model(
-    data: Dataset,
-    moderator: str,
-    controls: Sequence[str] = INTERACTION_CONTROLS,
-    baseline: str = "RR",
-) -> RegressionResult:
+def interaction_model(data: Dataset, moderator: str) -> RegressionResult:
     """Arm dummies, the moderator, and arm-by-moderator products."""
-    dummies = arm_dummies(data, baseline)
+    dummies = arm_dummies(data)
     mod = data.numeric(moderator)
     extra = dict(dummies)
     extra[moderator] = mod
     for arm, dummy in dummies.items():
         extra[f"{arm}_x_{moderator}"] = dummy * mod
-    design = build_design(data, "contribution", list(controls), extra=extra)
+    design = build_design(data, "contribution", list(INTERACTION_CONTROLS), extra=extra)
     return ols_hc1(design)
 
 
 PIVOTAL_CONTROLS = ("age", "female", "education", "altruism", "crt")
 
 
-def pivotal_model(data: Dataset, baseline: str = "RR") -> RegressionResult:
+def pivotal_model(data: Dataset) -> RegressionResult:
     """Strategic-uncertainty model: pivotal flag, stated accuracy, their product."""
-    extra = dict(arm_dummies(data, baseline))
+    extra = dict(arm_dummies(data))
     pivotal = data.numeric("pivotal")
     accuracy = data.numeric("perception_accuracy")
     extra["pivotal"] = pivotal
@@ -422,14 +404,13 @@ def polarization(
     data: Dataset,
     arm_a: str,
     arm_b: str,
-    outcome: str = "contribution",
-    grid_max: float = 5.0,
     permutations: int = 999,
     seed: int = 0,
 ) -> PolarizationReport:
-    """Variance comparison with a permutation p-value for the log variance ratio."""
+    """Contribution variance comparison with a permutation p-value for the log
+    variance ratio; "max" is the default game's endowment."""
     arms = data.strings("treatment")
-    values = data.numeric(outcome)
+    values = data.numeric("contribution")
     a = values[np.array([t == arm_a for t in arms])]
     b = values[np.array([t == arm_b for t in arms])]
     a, b = a[~np.isnan(a)], b[~np.isnan(b)]
@@ -448,6 +429,7 @@ def polarization(
         if stat >= observed:
             hits += 1
     p = (hits + 1) / (permutations + 1)
+    grid_max = DEFAULT_GAME.endowment.euros
     return PolarizationReport(
         arm_a=arm_a, arm_b=arm_b, variance_a=var_a, variance_b=var_b,
         share_zero_a=float(np.mean(a == 0)), share_zero_b=float(np.mean(b == 0)),
@@ -455,3 +437,54 @@ def polarization(
         variance_ratio=var_a / var_b if var_b > 0 else math.inf,
         p_value=float(p), permutations=permutations,
     )
+
+
+# --- the analyze battery ---------------------------------------------------------
+
+#: Covariates the balance section tests, when the data has them.
+BALANCE_COVARIATES = (
+    "age", "female", "education", "patience", "ambiguity_aversion",
+    "risk_aversion", "crt", "math_ability", "altruism", "envy", "ideology",
+    "gravity", "number_actions", "unemployed", "social_transfer",
+)
+
+
+def analysis_battery(data: Dataset) -> Iterator[tuple[str, list[dict], str]]:
+    """The analysis sections in order, each as (name, CSV rows, text)."""
+    bal = balance_table(data, [c for c in BALANCE_COVARIATES if c in data.columns])
+    yield "balance", bal.to_csv_rows(), bal.render()
+    for name, model in (("ate", ate_report), ("contribution_model", contribution_model),
+                        ("beliefs_model", beliefs_model)):
+        result = model(data)
+        yield name, result.to_csv_rows(), result.summary()
+    for moderator in ("risk_aversion", "ambiguity_aversion"):
+        result = interaction_model(data, moderator)
+        yield f"interactions_{moderator}", result.to_csv_rows(), result.summary()
+    result = pivotal_model(data)
+    yield "pivotal_model", result.to_csv_rows(), result.summary()
+    reports = [polarization(data, arm, BASELINE)
+               for arm in sorted(set(data.strings("treatment"))) if arm != BASELINE]
+    rows = [{"arm": r.arm_a, "baseline": r.arm_b,
+             "variance_arm": r.variance_a, "variance_baseline": r.variance_b,
+             "variance_ratio": r.variance_ratio, "p_value": r.p_value,
+             "share_zero_arm": r.share_zero_a, "share_max_arm": r.share_max_a}
+            for r in reports]
+    yield "polarization", rows, "\n".join(r.render() for r in reports)
+    rows = _histogram_rows(data)
+    yield "histogram", rows, "\n".join(
+        f"{r['treatment']} C={r['contribution']}: {r['share']:.3f}" for r in rows)
+
+
+def _histogram_rows(data: Dataset) -> list[dict]:
+    arms = data.strings("treatment")
+    contrib = data.numeric("contribution")
+    rows = []
+    for arm in sorted(set(arms)):
+        values = contrib[np.array([t == arm for t in arms])]
+        values = values[~np.isnan(values)]
+        levels = sorted(set(values.tolist()))
+        for level in levels:
+            count = int(np.sum(values == level))
+            rows.append({"treatment": arm, "contribution": f"{level:g}",
+                         "count": count, "share": count / len(values)})
+    return rows

@@ -30,7 +30,12 @@ from fractions import Fraction
 
 from .money import Money
 
+#: Theory order: table columns, ``solve`` rows and the hypothesis report.
 TREATMENTS = ("RR", "RA", "AR", "AA")
+#: Experiment order: randomization blocks and regression dummies.  RR, first,
+#: is the baseline of every contrast.  Both orders stay because merging them
+#: would reorder either the theory artifacts or every simulated byte.
+ARMS = ("RR", "AR", "RA", "AA")
 
 
 def as_prob(value: Fraction | int | str) -> Fraction:
@@ -228,11 +233,15 @@ class SuccessCurve:
         object.__setattr__(self, "_cents", tuple(c.cents for c, _ in self.breakpoints))
 
     def value_at(self, total: Money) -> Fraction:
-        if not Money(0) <= total <= self.domain_max:
+        if not 0 <= total.cents <= self.domain_max.cents:
             raise ValueError(
                 f"total {total} outside curve domain [0, {self.domain_max}]")
-        i = bisect.bisect_right(self._cents, total.cents) - 1
-        return self.breakpoints[i][1]
+        return self._step(total.cents)
+
+    def canonical_totals(self) -> set[Money]:
+        """Totals at which a symmetric equilibrium is possible: 0, the
+        candidate totals and the breakpoints."""
+        return {Money(0)} | set(self.candidate_totals) | {c for c, _ in self.breakpoints}
 
     def value_at_euros(self, total: float) -> Fraction:
         """Step lookup for a real-valued total (beliefs need not sit on the grid)."""
@@ -241,11 +250,11 @@ class SuccessCurve:
                 f"total {total} outside curve domain [0, {self.domain_max.euros}]")
         # The 1e-9 absorbs binary error (2.55 * 100 == 254.99...) without
         # rounding up a total that is truly below a cent boundary.
-        i = bisect.bisect_right(self._cents, math.floor(total * 100 + 1e-9)) - 1
-        return self.breakpoints[i][1]
+        return self._step(math.floor(total * 100 + 1e-9))
 
-    def steps(self) -> list[tuple[Money, Fraction]]:
-        return list(self.breakpoints)
+    def _step(self, cents: int) -> Fraction:
+        """The one step lookup behind both ``value_at`` forms."""
+        return self.breakpoints[bisect.bisect_right(self._cents, cents) - 1][1]
 
 
 def build_success_curve(
@@ -275,11 +284,6 @@ def build_success_curve(
         points.append((c, p))
     return SuccessCurve(tuple(points), game.max_total, scenario.label, float(a),
                         tuple(candidates))
-
-
-def eval_curve(curve: SuccessCurve, total: Money) -> Fraction:
-    """Step value at ``total``; breakpoints belong to the step they start."""
-    return curve.value_at(total)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -159,7 +159,7 @@ def condition_from_curve(
     kept; for the built-in games the only such deviation is to zero, giving
     the u(5) < k*u(m) form.
     """
-    candidates = {Money(0)} | set(curve.candidate_totals) | {c for c, _ in curve.breakpoints}
+    candidates = curve.canonical_totals()
     if target_total not in candidates:
         raise ValueError(
             f"total {target_total} is not a candidate equilibrium total; "

@@ -2,7 +2,7 @@
 
 Randomizes subjects into the four arms, synthesizes covariates matched to the
 target survey moments, produces beliefs and contributions from calibrated
-behavioral rules, forms groups of five, and realizes payoffs.
+behavioral rules, forms groups of ``n_players``, and realizes payoffs.
 
 Randomness: every subject (and every group, for payoff draws) gets its own
 index-derived substream, so generation can be partitioned across workers and
@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import CSV_COLUMNS, Dataset
 from .game import (
+    ARMS,
     DEFAULT_GAME,
     AmbiguityScenario,
     GameSpec,
@@ -30,8 +31,6 @@ from .game import (
 from .money import Money
 from .preferences import PowerUtility, RISK_NEUTRAL
 from .solver import enumerate_symmetric
-
-ARMS = ("RR", "AR", "RA", "AA")
 
 RESOLUTION_POLICIES = ("uniform", "pessimistic", "optimistic")
 
@@ -188,7 +187,6 @@ class Assignment:
 class SimConfig:
     n_subjects: int = 1500
     arms: tuple[str, ...] = ARMS
-    group_size: int = 5
     game: GameSpec = DEFAULT_GAME
     rule: BehavioralRule = BehavioralRule()
     resolution_policy: str = "uniform"
@@ -208,6 +206,11 @@ class SimConfig:
         unknown = [a for a in self.arms if a not in TREATMENTS]
         if unknown:
             raise ValueError(f"unknown arms: {unknown}")
+
+    @property
+    def group_size(self) -> int:
+        """Groups are as large as the game: one subject per player."""
+        return self.game.n_players
 
 
 # --- randomization -----------------------------------------------------------

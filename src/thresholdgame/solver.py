@@ -16,6 +16,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .game import DEFAULT_GAME, GameSpec, SuccessCurve, build_success_curve, make_scenario
+from .game import TREATMENTS as TABLE_TREATMENTS  # table columns: the theory order
 from .money import Money
 from .preferences import (
     HOLDS_FOR_ANY_U,
@@ -29,9 +30,6 @@ from .preferences import (
     condition_from_curve,
     power_threshold,
 )
-
-#: Table columns in presentation order.
-TABLE_TREATMENTS = ("RR", "RA", "AR", "AA")
 
 
 class EnumerationCapExceeded(Exception):
@@ -178,14 +176,10 @@ def classify_profile(
     return _classify(table, gis, curve, _canonical_indices(curve, game))
 
 
-def _canonical_totals(curve: SuccessCurve) -> set[Money]:
-    return {Money(0)} | set(curve.candidate_totals) | {c for c, _ in curve.breakpoints}
-
-
 def _canonical_indices(curve: SuccessCurve, game: GameSpec) -> set[int]:
     """Grid-index totals of the canonical totals that lie on the grid."""
     step = game.grid_step
-    return {c // step for c in _canonical_totals(curve) if c.is_multiple_of(step)}
+    return {c // step for c in curve.canonical_totals() if c.is_multiple_of(step)}
 
 
 def _classify(
@@ -346,7 +340,7 @@ def _paper_table(
 ) -> EquilibriumTable:
     """Cells whose symmetric profile survives paper mode under every utility."""
     curves = [build_success_curve(make_scenario(label), alpha, game) for label in treatments]
-    totals = set().union(*map(_canonical_totals, curves))
+    totals = set().union(*(curve.canonical_totals() for curve in curves))
     arms = [(label, curve, _canonical_indices(curve, game))
             for label, curve in zip(treatments, curves)]
     n = game.n_players
@@ -429,7 +423,7 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
     rn = PowerUtility(1.0)
     for label in TABLE_TREATMENTS:
         curve = build_success_curve(make_scenario(label), alpha, game)
-        canonical = sorted(_canonical_totals(curve))
+        canonical = sorted(curve.canonical_totals())
         eq_totals = tuple(r.total for r in enumerate_symmetric(curve, rn, game, "paper"))
         conditions = []
         thresholds = []
@@ -452,7 +446,7 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
     high = Money.from_euros(10)
     mid = Money.from_euros(5)
     h1 = (high in by_label["AA"].robust_totals
-          and all(high not in by_label[t].robust_totals for t in ("RR", "RA", "AR")))
+          and all(high not in s.robust_totals for s in summaries if s.label != "AA"))
     h2 = (mid in by_label["AR"].robust_totals
           and mid not in by_label["RR"].robust_totals
           and mid not in by_label["RA"].robust_totals)

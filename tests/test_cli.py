@@ -79,6 +79,19 @@ def test_theory_artifacts_match_golden_bytes(tmp_path, capsys, golden, argv):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_simulate_and_analyze_match_golden_bytes(tmp_path, capsys):
+    # analyze records the data file's base name in its header, so keep it.
+    data = tmp_path / "simulate_n200_seed3.csv"
+    assert run(["simulate", "--n", "200", "--seed", "3", "--out", str(data)], capsys)[0] == 0
+    assert data.read_bytes() == (GOLDEN / data.name).read_bytes()
+    out_dir = tmp_path / "analysis"
+    assert run(["analyze", "--data", str(data), "--out", str(out_dir)], capsys)[0] == 0
+    expected = GOLDEN / "analyze_n200_seed3"
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     code, _ = run(["simulate", "--n", "20", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2

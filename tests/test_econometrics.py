@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from thresholdgame.data import Dataset
 from thresholdgame.econometrics import (
+    BALANCE_COVARIATES,
     RankDeficientError,
     ate_report,
     balance_table,
@@ -187,16 +188,10 @@ def test_balance_requires_two_arms():
         balance_table(data, ["age"])
 
 
-BALANCE_COVS = ("age", "female", "education", "patience", "ambiguity_aversion",
-                "risk_aversion", "crt", "math_ability", "altruism", "envy",
-                "ideology", "gravity", "number_actions", "unemployed",
-                "social_transfer")
-
-
 def test_null_balance_rejects_at_nominal_rate():
     pvals = []
     for seed in range(15):
-        table = balance_table(simulate(seed), BALANCE_COVS)
+        table = balance_table(simulate(seed), BALANCE_COVARIATES)
         pvals.extend(table.p_values.values())
     rate = np.mean(np.array(pvals) < 0.05)
     assert 0.02 <= rate <= 0.08  # 675 roughly-independent null tests
@@ -231,7 +226,7 @@ def test_balance_render_shape():
 
 def test_bonferroni_flag():
     # marginal single-test hits on null data do not survive the correction
-    table = balance_table(simulate(11), BALANCE_COVS)
+    table = balance_table(simulate(11), BALANCE_COVARIATES)
     assert table.bonferroni_survivors() == []
     # a gross imbalance does
     data = simulate(11)
@@ -239,7 +234,7 @@ def test_bonferroni_flag():
     arms = data.strings("treatment")
     cols["age"] = [float(v) + (30.0 if t == "AA" else 0.0)
                    for v, t in zip(cols["age"], arms)]
-    shifted = balance_table(Dataset(cols), BALANCE_COVS)
+    shifted = balance_table(Dataset(cols), BALANCE_COVARIATES)
     assert ("age", "AA") in shifted.bonferroni_survivors()
 
 

@@ -12,7 +12,6 @@ from thresholdgame.game import (
     ThresholdSpec,
     TREATMENTS,
     build_success_curve,
-    eval_curve,
     make_scenario,
     prob_to_str,
     scenario_from_json,
@@ -83,21 +82,21 @@ def test_optimist_curves_exact(label):
 
 def test_blended_curve_averages_extremes():
     curve = build_success_curve(make_scenario("AA"), 0.5)
-    assert eval_curve(curve, E(12)) == F(9, 10)
+    assert curve.value_at(E(12)) == F(9, 10)
 
 
 def test_eval_curve_boundaries():
     rr = build_success_curve(make_scenario("RR"), 1.0)
-    assert eval_curve(rr, E(5)) == F(1, 2)  # breakpoint belongs to the upper step
-    assert eval_curve(rr, E(0)) == F(1, 10)
-    assert eval_curve(rr, E(4)) == F(1, 10)
-    assert eval_curve(rr, E(25)) == F(9, 10)
+    assert rr.value_at(E(5)) == F(1, 2)  # breakpoint belongs to the upper step
+    assert rr.value_at(E(0)) == F(1, 10)
+    assert rr.value_at(E(4)) == F(1, 10)
+    assert rr.value_at(E(25)) == F(9, 10)
 
 
 def test_eval_curve_fine_grid_below_breakpoint():
     game = GameSpec(grid_step=Money(1))
     ra = build_success_curve(make_scenario("RA"), 1.0, game)
-    assert eval_curve(ra, Money(999)) == F(1, 10)  # 9.99 still on the low step
+    assert ra.value_at(Money(999)) == F(1, 10)  # 9.99 still on the low step
 
 
 def test_value_at_euros_absorbs_binary_error_only():
@@ -112,9 +111,9 @@ def test_value_at_euros_absorbs_binary_error_only():
 def test_eval_curve_rejects_out_of_domain():
     rr = build_success_curve(make_scenario("RR"), 1.0)
     with pytest.raises(ValueError):
-        eval_curve(rr, E(26))
+        rr.value_at(E(26))
     with pytest.raises(ValueError):
-        eval_curve(rr, Money(-1))
+        rr.value_at(Money(-1))
 
 
 @given(

@@ -1,13 +1,18 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
+    # Put src/ first so the scripts run against this checkout, installed or not.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_reproduce_benchmark_prints_both_evaluations():
@@ -23,7 +28,7 @@ def test_run_default_experiment_smoke(tmp_path):
     result = run_script("run_default_experiment.py", "--n", "200", "--seed", "1",
                         "--out", str(out))
     assert result.returncode == 0, result.stderr
-    assert "Balance across arms" in result.stdout
+    assert "== balance" in result.stdout
     assert "Design power" in result.stdout
     assert out.exists()
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thresholdgame.data import CSV_COLUMNS
-from thresholdgame.game import GameSpec, make_scenario
+from thresholdgame.game import ARMS, GameSpec, make_scenario
 from thresholdgame.money import Money
 from thresholdgame.simulator import (
-    ARMS,
     BehavioralRule,
     CovariateProfile,
     SimConfig,
@@ -292,6 +291,17 @@ def test_minimal_run_single_group():
     assert len(records) == 5
     assert len({r.group_id for r in records}) == 1
     assert all(r.treatment == "RR" for r in records)
+
+
+def test_groups_match_the_game_size():
+    config = SimConfig(n_subjects=120, game=GameSpec(n_players=3))
+    assert config.group_size == 3
+    groups = {}
+    for r in run_experiment(config, seed=4):
+        groups.setdefault(r.group_id, []).append(r)
+    assert len(groups) == 40
+    assert all(len(members) == 3 for members in groups.values())
+    assert all(len({m.treatment for m in members}) == 1 for members in groups.values())
 
 
 def test_run_experiment_deterministic_csv():

@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thresholdgame
 from thresholdgame.game import (
     DEFAULT_GAME,
+    TREATMENTS,
     GameSpec,
     SuccessCurve,
     build_success_curve,
@@ -401,3 +407,19 @@ def test_pessimism_never_lowers_robust_totals():
         worst_case = max(pessimist.totals_for(treatment))
         best_case = max(optimist.totals_for(treatment))
         assert worst_case >= best_case
+
+
+def test_table_columns_are_the_theory_order():
+    assert TABLE_TREATMENTS is TREATMENTS
+
+
+def test_solver_import_leaves_out_the_analysis_stack():
+    # The top level re-exports nothing, so the theory layers load without
+    # scipy and without the econometrics module.
+    src = str(Path(thresholdgame.__file__).resolve().parent.parent)
+    code = ("import sys, thresholdgame.solver; "
+            "print([m for m in ('scipy', 'thresholdgame.econometrics') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
