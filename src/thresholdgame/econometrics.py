@@ -49,10 +49,10 @@ class DesignMatrix:
 BASELINE = ARMS[0]
 
 
-def _comparison_arms(arms: Sequence[str]) -> list[str]:
+def _comparison_arms(arms: np.ndarray) -> list[str]:
     """Arms present other than the baseline: the experiment order, then any
     unknown labels sorted."""
-    present = sorted(set(arms))
+    present = np.unique(arms).tolist()
     if BASELINE not in present:
         raise ValueError(f"baseline arm {BASELINE!r} absent; arms present: {present}")
     return [a for a in ARMS[1:] if a in present] + [a for a in present if a not in ARMS]
@@ -60,7 +60,7 @@ def _comparison_arms(arms: Sequence[str]) -> list[str]:
 
 def arm_dummies(data: Dataset) -> dict[str, np.ndarray]:
     arms = data.strings("treatment")
-    return {a: np.array([1.0 if t == a else 0.0 for t in arms]) for a in _comparison_arms(arms)}
+    return {a: (arms == a).astype(float) for a in _comparison_arms(arms)}
 
 
 def build_design(
@@ -235,19 +235,16 @@ def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
     others = _comparison_arms(arms)
     if not others:
         raise ValueError("need at least two arms for a balance table")
-    base_mask = [t == BASELINE for t in arms]
     means: dict[str, float] = {}
     pvals: dict[tuple[str, str], float] = {}
     for cov in covariates:
         values = data.numeric(cov)
-        base_vals = values[np.array(base_mask)]
-        base_vals = base_vals[~np.isnan(base_vals)]
+        base_vals = values[(arms == BASELINE) & ~np.isnan(values)]
         if base_vals.size == 0:
             raise ValueError(f"baseline arm has no data for {cov!r}")
         means[cov] = float(base_vals.mean())
         for a in others:
-            other_vals = values[np.array([t == a for t in arms])]
-            other_vals = other_vals[~np.isnan(other_vals)]
+            other_vals = values[(arms == a) & ~np.isnan(values)]
             if other_vals.size == 0:
                 raise ValueError(f"arm {a!r} has no data for {cov!r}")
             if np.var(base_vals) == 0 and np.var(other_vals) == 0:
@@ -411,8 +408,7 @@ def polarization(
     variance ratio; "max" is the default game's endowment."""
     arms = data.strings("treatment")
     values = data.numeric("contribution")
-    a = values[np.array([t == arm_a for t in arms])]
-    b = values[np.array([t == arm_b for t in arms])]
+    a, b = values[arms == arm_a], values[arms == arm_b]
     a, b = a[~np.isnan(a)], b[~np.isnan(b)]
     if a.size < 2 or b.size < 2:
         raise ValueError("both arms need at least two observations")
@@ -463,7 +459,7 @@ def analysis_battery(data: Dataset) -> Iterator[tuple[str, list[dict], str]]:
     result = pivotal_model(data)
     yield "pivotal_model", result.to_csv_rows(), result.summary()
     reports = [polarization(data, arm, BASELINE)
-               for arm in sorted(set(data.strings("treatment"))) if arm != BASELINE]
+               for arm in np.unique(data.strings("treatment")).tolist() if arm != BASELINE]
     rows = [{"arm": r.arm_a, "baseline": r.arm_b,
              "variance_arm": r.variance_a, "variance_baseline": r.variance_b,
              "variance_ratio": r.variance_ratio, "p_value": r.p_value,
@@ -479,12 +475,10 @@ def _histogram_rows(data: Dataset) -> list[dict]:
     arms = data.strings("treatment")
     contrib = data.numeric("contribution")
     rows = []
-    for arm in sorted(set(arms)):
-        values = contrib[np.array([t == arm for t in arms])]
-        values = values[~np.isnan(values)]
-        levels = sorted(set(values.tolist()))
-        for level in levels:
-            count = int(np.sum(values == level))
+    for arm in np.unique(arms).tolist():
+        values = contrib[(arms == arm) & ~np.isnan(contrib)]
+        levels, counts = np.unique(values, return_counts=True)
+        for level, count in zip(levels.tolist(), counts.tolist()):
             rows.append({"treatment": arm, "contribution": f"{level:g}",
                          "count": count, "share": count / len(values)})
     return rows

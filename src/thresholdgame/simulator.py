@@ -62,8 +62,8 @@ AMBIGUITY_BOUNDS = (-2.0, 2.0)
 RISK_AMBIGUITY_LATENT_CORR = -0.553933
 
 # Belief equation: linear index in covariates plus Gaussian noise, clamped to
-# [0, 20] (four others with endowment 5 each).  Arm dummies enter with weight
-# zero: the data-generating process has no treatment effect on beliefs.
+# what the others can give, [0, (n_players - 1) * endowment].  Arm dummies enter
+# with weight zero: the data-generating process has no treatment effect on beliefs.
 BELIEF_COEFS = {
     "const": 9.614,
     "education": -0.286,
@@ -123,12 +123,6 @@ class CovariateProfile:
     risk_aversion: float
     ambiguity_aversion: float
 
-
-COVARIATE_FIELDS = (
-    "age", "female", "education", "patience", "crt", "math_ability",
-    "altruism", "envy", "ideology", "gravity", "number_actions",
-    "unemployed", "social_transfer", "risk_aversion", "ambiguity_aversion",
-)
 
 RULE_KINDS = (
     "paper-calibrated-linear",
@@ -294,7 +288,7 @@ def synth_covariates(n: int, seed: int = 0) -> list[CovariateProfile]:
 # --- beliefs -----------------------------------------------------------------
 
 def belief_index(cov: CovariateProfile) -> float:
-    """Noise-free belief about the other four members' total contribution."""
+    """Noise-free belief about the other members' total contribution."""
     b = BELIEF_COEFS
     return (b["const"]
             + b["education"] * cov.education
@@ -311,12 +305,14 @@ def gen_belief(
     treatment: str,
     rng: np.random.Generator | int,
     noise_sd: float = BELIEF_NOISE_SD,
+    game: GameSpec = DEFAULT_GAME,
 ) -> float:
-    """Belief in [0, 20]; the treatment argument carries no weight by design."""
+    """Belief in [0, what the others can give]; the treatment carries no weight."""
     if isinstance(rng, int):
         rng = _rng(rng, _STREAM_SUBJECT, 0)
     noise = rng.normal(0.0, noise_sd) if noise_sd > 0 else 0.0
-    return float(min(max(belief_index(cov) + noise, 0.0), 20.0))
+    cap = (game.endowment * (game.n_players - 1)).euros
+    return float(min(max(belief_index(cov) + noise, 0.0), cap))
 
 
 def is_pivotal(belief: float) -> bool:
@@ -539,7 +535,7 @@ def run_experiment(config: SimConfig, seed: int) -> list[SubjectRecord]:
     for a in assignments:
         rng = _rng(seed, _STREAM_SUBJECT, a.subject_id)
         cov = draw_covariates(rng)
-        belief = gen_belief(cov, a.treatment, rng, config.belief_noise_sd)
+        belief = gen_belief(cov, a.treatment, rng, config.belief_noise_sd, config.game)
         accuracy = float(rng.uniform(0.0, 100.0))
         pivotal = int(is_pivotal(belief))
         shift = _index_shift(config, a.treatment, cov, pivotal, accuracy)
@@ -565,23 +561,12 @@ def run_experiment(config: SimConfig, seed: int) -> list[SubjectRecord]:
 
 
 def records_to_dataset(records: list[SubjectRecord]) -> Dataset:
-    rows = []
-    for r in records:
-        row = {
-            "subject_id": r.subject_id,
-            "treatment": r.treatment,
-            "group_id": r.group_id,
-            "belief": repr(r.belief_others_total),
-            "perception_accuracy": repr(r.perception_accuracy),
-            "pivotal": r.pivotal,
-            "contribution": str(r.contribution),
-            "group_total": str(r.group_total),
-            "threshold_drawn": str(r.threshold_drawn),
-            "success": r.success,
-            "earnings": str(r.earnings),
-        }
-        for name in COVARIATE_FIELDS:
-            value = getattr(r.covariates, name)
-            row[name] = repr(value) if isinstance(value, float) else value
-        rows.append(row)
-    return Dataset.from_rows(rows, CSV_COLUMNS)
+    cols = {name: [getattr(r.covariates, name) for r in records]
+            for name in CovariateProfile.__dataclass_fields__}
+    for name in ("subject_id", "treatment", "group_id", "perception_accuracy", "pivotal",
+                 "success"):
+        cols[name] = [getattr(r, name) for r in records]
+    cols["belief"] = [r.belief_others_total for r in records]
+    for name in ("contribution", "group_total", "threshold_drawn", "earnings"):
+        cols[name] = np.array([getattr(r, name).cents for r in records], dtype=float) / 100
+    return Dataset({name: cols[name] for name in CSV_COLUMNS})

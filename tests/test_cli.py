@@ -80,16 +80,23 @@ def test_theory_artifacts_match_golden_bytes(tmp_path, capsys, golden, argv):
 
 
 def test_simulate_and_analyze_match_golden_bytes(tmp_path, capsys):
-    # analyze records the data file's base name in its header, so keep it.
-    data = tmp_path / "simulate_n200_seed3.csv"
-    assert run(["simulate", "--n", "200", "--seed", "3", "--out", str(data)], capsys)[0] == 0
-    assert data.read_bytes() == (GOLDEN / data.name).read_bytes()
-    out_dir = tmp_path / "analysis"
-    assert run(["analyze", "--data", str(data), "--out", str(out_dir)], capsys)[0] == 0
-    expected = GOLDEN / "analyze_n200_seed3"
-    assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in expected.iterdir())
-    for path in expected.iterdir():
-        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+    # The step-0.50 run puts half-euro amounts in the money columns.
+    for name, flags in (
+        ("n200_seed3", []),
+        ("n200_seed3_step0.50", ["--grid-step", "0.50", "--resolution", "pessimistic"]),
+    ):
+        # analyze records the data file's base name in its header, so keep it.
+        data = tmp_path / f"simulate_{name}.csv"
+        argv = ["simulate", "--n", "200", "--seed", "3", "--out", str(data)] + flags
+        assert run(argv, capsys)[0] == 0
+        assert data.read_bytes() == (GOLDEN / data.name).read_bytes()
+        out_dir = tmp_path / f"analysis_{name}"
+        assert run(["analyze", "--data", str(data), "--out", str(out_dir)], capsys)[0] == 0
+        expected = GOLDEN / f"analyze_{name}"
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            sorted(p.name for p in expected.iterdir())
+        for path in expected.iterdir():
+            assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from thresholdgame.data import CSV_COLUMNS, Dataset
+from thresholdgame.econometrics import analysis_battery, build_design
 from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
 
 
@@ -12,7 +16,7 @@ def test_csv_roundtrip(tmp_path):
     assert tuple(loaded.columns) == CSV_COLUMNS
     assert len(loaded) == 40
     assert loaded.numeric("contribution").tolist() == data.numeric("contribution").tolist()
-    assert loaded.strings("treatment") == data.strings("treatment")
+    assert loaded.strings("treatment").tolist() == data.strings("treatment").tolist()
 
 
 def test_header_comments_are_skipped(tmp_path):
@@ -27,7 +31,7 @@ def test_column_map_renames_external_schema(tmp_path):
     path.write_text("Treat,Contrib\nRR,2\nAA,4\n")
     loaded = Dataset.read_csv(path, column_map={"Treat": "treatment",
                                                 "Contrib": "contribution"})
-    assert loaded.strings("treatment") == ["RR", "AA"]
+    assert loaded.strings("treatment").tolist() == ["RR", "AA"]
     assert loaded.numeric("contribution").tolist() == [2.0, 4.0]
 
 
@@ -45,11 +49,56 @@ def test_empty_file_rejected(tmp_path):
         Dataset.read_csv(path)
 
 
-def test_numeric_handles_blanks():
-    data = Dataset({"x": ["1.5", "", None, "2"]})
-    values = data.numeric("x")
+def test_numeric_handles_blanks(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_text("x\n1.5\n\"\"\n2\n")
+    values = Dataset.read_csv(path).numeric("x")
+    assert values[0] == 1.5 and values[2] == 2.0
+    assert math.isnan(values[1])
+    values = Dataset({"x": ["1.5", "", None, "2"]}).numeric("x")
     assert values[0] == 1.5 and values[3] == 2.0
     assert all(v != v for v in values[1:3])  # NaN
+
+
+def test_external_csv_with_label_column_and_blanks(tmp_path):
+    data = records_to_dataset(run_experiment(SimConfig(n_subjects=200), seed=4))
+    text = data.to_csv_text().splitlines()
+    header = text[0].split(",")
+    blank_cols = [header.index(c) for c in ("age", "belief", "contribution")]
+    lines = [text[0] + ",site"]
+    for i, line in enumerate(text[1:]):
+        cells = line.split(",")
+        if i % 40 == 7:  # one row in 40 misses one of three cells
+            cells[blank_cols[i // 40 % 3]] = ""
+        lines.append(",".join(cells) + ("," + ("lab A" if i % 2 else "lab B")))
+    path = tmp_path / "external.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = Dataset.read_csv(path)
+    assert loaded.strings("site").tolist()[:2] == ["lab B", "lab A"]
+    with pytest.raises(ValueError, match="'site'"):
+        loaded.numeric("site")
+    assert np.isnan(loaded.numeric("age")).sum() == 2
+    design = build_design(loaded, "contribution", ["age", "belief"])
+    assert design.n_dropped == 5
+    assert design.n_obs == 195
+    names = [name for name, _, _ in analysis_battery(loaded)]
+    assert names[0] == "balance" and names[-1] == "histogram" and len(names) == 9
+
+
+def test_text_in_a_schema_number_column_is_rejected(tmp_path):
+    path = tmp_path / "typo.csv"
+    path.write_text("treatment,age\nRR,41\nAA,n/a\n")
+    with pytest.raises(ValueError, match="'age'"):
+        Dataset.read_csv(path)
+
+
+def test_write_refuses_to_round(tmp_path):
+    with pytest.raises(ValueError, match="'contribution'"):
+        Dataset({"contribution": [2.555]}).to_csv_text()
+    with pytest.raises(ValueError, match="'age'"):
+        Dataset({"age": [41.5]}).to_csv_text()
+    text = Dataset({"age": [41, ""], "contribution": [2.5, None]}).to_csv_text()
+    assert text.splitlines() == ["age,contribution", "41,2.50", ","]
 
 
 def test_ragged_columns_rejected():
@@ -60,10 +109,4 @@ def test_ragged_columns_rejected():
 def test_missing_column_message():
     data = Dataset({"a": [1]})
     with pytest.raises(KeyError):
-        data.column("b")
-
-
-def test_subset_by_mask():
-    data = Dataset({"x": [1, 2, 3, 4], "t": ["a", "b", "a", "b"]})
-    sub = data.subset([t == "a" for t in data.strings("t")])
-    assert sub.numeric("x").tolist() == [1.0, 3.0]
+        data.numeric("b")

@@ -206,7 +206,7 @@ def test_injected_age_shift_detection_rate():
         data = simulate(seed)
         arms = data.strings("treatment")
         age = [float(v) + (1.5 if t == "AA" else 0.0)
-               for v, t in zip(data.column("age"), arms)]
+               for v, t in zip(data.numeric("age"), arms)]
         shifted = Dataset({**{k: list(v) for k, v in data.columns.items()},
                            "age": age})
         table = balance_table(shifted, ["age"])

@@ -304,6 +304,17 @@ def test_groups_match_the_game_size():
     assert all(len({m.treatment for m in members}) == 1 for members in groups.values())
 
 
+def test_beliefs_stay_within_what_the_others_can_give():
+    # Two others with endowment 5 can give at most 10 between them.
+    game = GameSpec(n_players=3)
+    beliefs = [r.belief_others_total
+               for r in run_experiment(SimConfig(n_subjects=120, game=game), seed=4)]
+    assert max(beliefs) == 10.0  # the clamp binds in this run
+    assert all(0.0 <= b <= 10.0 for b in beliefs)
+    cov = make_cov(altruism=3, gravity=10)
+    assert gen_belief(cov, "RR", rng=0, noise_sd=0.0, game=game) == 10.0
+
+
 def test_run_experiment_deterministic_csv():
     config = SimConfig(n_subjects=100)
     a = records_to_dataset(run_experiment(config, seed=5)).to_csv_text("h")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thresholdgame
+from thresholdgame import solver
 from thresholdgame.game import (
     DEFAULT_GAME,
     TREATMENTS,
@@ -58,9 +59,13 @@ def totals(records):
 
 
 def brute_force(c, u, game=DEFAULT_GAME):
-    """Test oracle: classify_profile on every grid profile, in enumeration order."""
-    profiles = itertools.product(game.contribution_grid(), repeat=game.n_players)
-    records = (classify_profile(Profile(p), c, u, game) for p in profiles)
+    """Test oracle: every grid profile, classified one at a time by the path
+    behind classify_profile, in enumeration order.  The payoff table and the
+    canonical totals are built once per game, not once per profile."""
+    table = solver.PayoffTable(c, u, game)
+    canonical = solver._canonical_indices(c, game)
+    profiles = itertools.product(range(len(table.grid)), repeat=game.n_players)
+    records = (solver._classify(table, gis, c, canonical) for gis in profiles)
     return sorted((r for r in records if r is not None),
                   key=lambda r: (r.total, r.profile.contributions))
 
