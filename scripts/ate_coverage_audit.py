@@ -13,7 +13,7 @@ import math
 
 from thresholdgame.econometrics import ate_report
 from thresholdgame.game import ARMS
-from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
+from thresholdgame.simulator import SimConfig, simulate
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
 
     within = dict.fromkeys(ARMS[1:], 0)  # each arm against the RR baseline
     for seed in range(args.seeds):
-        data = records_to_dataset(run_experiment(SimConfig(), seed))
+        data = simulate(SimConfig(), seed)
         ate = ate_report(data)
         for arm in within:
             if abs(ate.coef(arm)) <= 2.0 * ate.se(arm):

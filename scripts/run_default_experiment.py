@@ -4,7 +4,7 @@ on it (the sections of ``thresholdgame analyze``), then the design's MDE."""
 import argparse
 
 from thresholdgame.econometrics import analysis_battery, mde
-from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
+from thresholdgame.simulator import SimConfig, simulate
 
 
 def main() -> None:
@@ -15,7 +15,7 @@ def main() -> None:
     args = parser.parse_args()
 
     config = SimConfig(n_subjects=args.n)
-    data = records_to_dataset(run_experiment(config, args.seed))
+    data = simulate(config, args.seed)
     if args.out:
         data.write_csv(args.out, f"seed={args.seed} n={args.n}")
         print(f"wrote {args.out}")

@@ -32,16 +32,11 @@ from .game import (
 )
 from .money import Money
 from .preferences import PowerUtility, UtilityFn, utility_from_json
-from .simulator import (
-    BehavioralRule,
-    SimConfig,
-    records_to_dataset,
-    run_experiment,
-)
+from .simulator import RNG_FORMAT, BehavioralRule, SimConfig, simulate
 from .solver import (
     EnumerationCapExceeded,
+    EquilibriumTable,
     enumerate_symmetric,
-    equilibrium_table,
     hypothesis_report,
     records_to_csv_rows,
     robust_table,
@@ -151,12 +146,15 @@ def cmd_solve(args, config) -> int:
     alpha = _opt(args, config, "alpha", 1.0)
     mode = _opt(args, config, "mode", "paper")
     u = _utility_from(args, config)
-    rows = []
+    rows, totals, cells = [], set(), set()
     for label in TREATMENTS:
         curve = build_success_curve(make_scenario(label), alpha, game)
         records = enumerate_symmetric(curve, u, game, mode)
         rows += records_to_csv_rows(records, label)
-    table = equilibrium_table(u, alpha, game)
+        # The table's cells are the paper-mode survivors, as equilibrium_table finds them.
+        totals |= curve.canonical_totals()
+        cells |= {(label, r.total) for r in records if not r.paper_filter_excluded}
+    table = EquilibriumTable(tuple(sorted(totals)), TREATMENTS, frozenset(cells))
     print(f"Symmetric equilibria (mode={mode}, alpha={alpha:g}):")
     for row in rows:
         cond = f"  [{row['condition']}]" if row["condition"] else ""
@@ -225,10 +223,10 @@ def cmd_simulate(args, config) -> int:
     except TypeError as exc:
         raise ValueError(f"bad rule config: {exc}") from exc
     sim = SimConfig(n_subjects=n, game=game, rule=rule, resolution_policy=resolution)
-    records = run_experiment(sim, seed)
-    dataset = records_to_dataset(records)
+    dataset = simulate(sim, seed)
     payload = {"command": "simulate", "n": n, "resolution": resolution,
-               "grid_step": str(game.grid_step), "rule": rule.kind, "seed": seed}
+               "grid_step": str(game.grid_step), "rule": rule.kind, "seed": seed,
+               "rng_format": RNG_FORMAT}
     out = _resolve_out(args.out) or _resolve_out("experiment.csv")
     dataset.write_csv(out, _header(payload, seed=seed))
     print(f"wrote {out} ({len(dataset)} subjects)")

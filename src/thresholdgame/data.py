@@ -36,7 +36,9 @@ _FORMATS = {"int": ("%d".__mod__, 1), "money": ("%.2f".__mod__, 100), "float": (
 def _column(name: str, values) -> np.ndarray:
     """``values`` as a read-only array of the column's kind, parsed once."""
     kind, col = SCHEMA.get(name), None
-    if kind != "text":
+    if kind != "text" and isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        col = values.astype(float)
+    elif kind != "text":
         cells = np.array(values, dtype=object)
         try:
             col = np.where(np.equal(cells, ""), None, cells).astype(float)

@@ -49,18 +49,25 @@ class DesignMatrix:
 BASELINE = ARMS[0]
 
 
+def _present_arms(arms: np.ndarray) -> list[str]:
+    """Arm labels present, sorted; a blank label is a missing value, not an arm."""
+    return [a for a in np.unique(arms).tolist() if a]
+
+
 def _comparison_arms(arms: np.ndarray) -> list[str]:
     """Arms present other than the baseline: the experiment order, then any
     unknown labels sorted."""
-    present = np.unique(arms).tolist()
+    present = _present_arms(arms)
     if BASELINE not in present:
         raise ValueError(f"baseline arm {BASELINE!r} absent; arms present: {present}")
     return [a for a in ARMS[1:] if a in present] + [a for a in present if a not in ARMS]
 
 
 def arm_dummies(data: Dataset) -> dict[str, np.ndarray]:
+    """0/1 per comparison arm; NaN where the treatment is blank (dropped listwise)."""
     arms = data.strings("treatment")
-    return {a: (arms == a).astype(float) for a in _comparison_arms(arms)}
+    blank = np.where(arms == "", np.nan, 0.0)
+    return {a: (arms == a) + blank for a in _comparison_arms(arms)}
 
 
 def build_design(
@@ -459,7 +466,7 @@ def analysis_battery(data: Dataset) -> Iterator[tuple[str, list[dict], str]]:
     result = pivotal_model(data)
     yield "pivotal_model", result.to_csv_rows(), result.summary()
     reports = [polarization(data, arm, BASELINE)
-               for arm in np.unique(data.strings("treatment")).tolist() if arm != BASELINE]
+               for arm in _present_arms(data.strings("treatment")) if arm != BASELINE]
     rows = [{"arm": r.arm_a, "baseline": r.arm_b,
              "variance_arm": r.variance_a, "variance_baseline": r.variance_b,
              "variance_ratio": r.variance_ratio, "p_value": r.p_value,
@@ -475,7 +482,7 @@ def _histogram_rows(data: Dataset) -> list[dict]:
     arms = data.strings("treatment")
     contrib = data.numeric("contribution")
     rows = []
-    for arm in np.unique(arms).tolist():
+    for arm in _present_arms(arms):
         values = contrib[(arms == arm) & ~np.isnan(contrib)]
         levels, counts = np.unique(values, return_counts=True)
         for level, count in zip(levels.tolist(), counts.tolist()):

@@ -1,19 +1,26 @@
-"""Synthetic experiment generator.
+"""Synthetic experiment generator, one column at a time.
 
 Randomizes subjects into the four arms, synthesizes covariates matched to the
 target survey moments, produces beliefs and contributions from calibrated
-behavioral rules, forms groups of ``n_players``, and realizes payoffs.
+behavioral rules, forms groups of ``n_players``, and realizes payoffs.  Each
+stage is one function over numpy columns; ``simulate`` chains them.
 
-Randomness: every subject (and every group, for payoff draws) gets its own
-index-derived substream, so generation can be partitioned across workers and
-the output is byte-identical regardless of partitioning.
+Randomness is RNG format 2 (``RNG_FORMAT``).  Subject ``i`` and group ``g`` own
+row ``i`` or ``g`` of a counter-based Philox stream keyed by the seed and a
+purpose (``STREAMS``), a fixed number of uniforms wide; ``SUBJECT_ROW`` and
+``GROUP_ROW`` name what each uniform feeds.  Rows ``[a, b)`` equal the stream
+advanced to row ``a``, so any partition of the rows gives the same bytes.
+Normals come from Box-Muller with libm's ``log``, ``cos`` and ``sin``, never
+numpy's CPU-dispatched ones, so the bytes do not depend on the host CPU.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -29,26 +36,28 @@ from .game import (
     make_scenario,
 )
 from .money import Money
-from .preferences import PowerUtility, RISK_NEUTRAL
+from .preferences import RISK_NEUTRAL, TIE_TOL
 from .solver import enumerate_symmetric
+
+RNG_FORMAT = 2
 
 RESOLUTION_POLICIES = ("uniform", "pessimistic", "optimistic")
 
 # Target moments for the synthetic population: (mean, sd, min, max) for the
 # rounded-and-clipped normal draws, probabilities for the binary ones.
-AGE = (43.84, 14.06, 18, 74)
-EDUCATION = (2.95, 1.34, 1, 5)
-PATIENCE = (3.37, 2.17, 0, 6)
-CRT = (1.59, 0.97, 0, 3)
-MATH_ABILITY = (2.11, 0.87, 0, 3)
-ALTRUISM = (1.64, 0.77, 0, 3)
-ENVY = (2.16, 1.30, 0, 4)
-IDEOLOGY = (4.92, 2.31, 1, 10)
-GRAVITY = (7.69, 1.78, 1, 10)
-NUMBER_ACTIONS = (4.59, 2.21, 1, 11)
-P_FEMALE = 0.52
-P_UNEMPLOYED = 0.12
-P_SOCIAL_TRANSFER = 0.19
+ROUNDED_COVARIATES = {
+    "age": (43.84, 14.06, 18, 74),
+    "education": (2.95, 1.34, 1, 5),
+    "patience": (3.37, 2.17, 0, 6),
+    "crt": (1.59, 0.97, 0, 3),
+    "math_ability": (2.11, 0.87, 0, 3),
+    "altruism": (1.64, 0.77, 0, 3),
+    "envy": (2.16, 1.30, 0, 4),
+    "ideology": (4.92, 2.31, 1, 10),
+    "gravity": (7.69, 1.78, 1, 10),
+    "number_actions": (4.59, 2.21, 1, 11),
+}
+BINARY_COVARIATES = {"female": 0.52, "unemployed": 0.12, "social_transfer": 0.19}
 
 # Risk aversion: latent normal censored to [-0.1, 1].  The latent parameters
 # solve for clipped mean 0.04 and sd 0.29, which also puts the median at the
@@ -60,6 +69,11 @@ AMBIGUITY_LATENT = (0.02, 0.47)
 AMBIGUITY_BOUNDS = (-2.0, 2.0)
 # Latent Gaussian-copula correlation giving an observed -0.41 after clipping.
 RISK_AMBIGUITY_LATENT_CORR = -0.553933
+
+#: Covariate columns, in the order of the data schema.
+COVARIATES = tuple(name for name in CSV_COLUMNS
+                   if name in ROUNDED_COVARIATES or name in BINARY_COVARIATES
+                   or name in ("risk_aversion", "ambiguity_aversion"))
 
 # Belief equation: linear index in covariates plus Gaussian noise, clamped to
 # what the others can give, [0, (n_players - 1) * endowment].  Arm dummies enter
@@ -95,33 +109,21 @@ CONTRIBUTION_NOISE = (0.631, -0.633, 0.187, 1.646, 0.608)
 
 PIVOTAL_RANGE = (5.0, 9.0)  # belief in [5, 9) can swing threshold attainment
 
-# Substream purposes.
-_STREAM_ASSIGN = 0
-_STREAM_SUBJECT = 1
-_STREAM_GROUP = 2
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
-
-
-@dataclass(frozen=True)
-class CovariateProfile:
-    age: int
-    female: int
-    education: int
-    patience: int
-    crt: int
-    math_ability: int
-    altruism: int
-    envy: int
-    ideology: int
-    gravity: int
-    number_actions: int
-    unemployed: int
-    social_transfer: int
-    risk_aversion: float
-    ambiguity_aversion: float
+#: What each uniform of a subject's row feeds.  Columns 0-13 pass through
+#: Box-Muller in pairs (2j, 2j+1) and become the standard normals named here;
+#: 14-18 are used as uniforms; 19 is spare, so the row stays a multiple of the
+#: four words one Philox counter yields.
+SUBJECT_ROW = (
+    "risk_aversion", "ambiguity_aversion", *ROUNDED_COVARIATES,
+    "belief_noise", "contribution_noise",
+    *BINARY_COVARIATES, "perception_accuracy", "noise_component", "spare",
+)
+N_NORMALS = 14
+#: What each uniform of a group's row feeds.
+GROUP_ROW = ("threshold", "interval_point", "success", "spare")
+#: Counter-based streams: name -> (key purpose, uniforms per row).  Purpose 0
+#: keys the arm permutation.
+STREAMS = {"subject": (1, len(SUBJECT_ROW)), "group": (2, len(GROUP_ROW))}
 
 
 RULE_KINDS = (
@@ -155,29 +157,6 @@ class BehavioralRule:
 
 
 @dataclass(frozen=True)
-class SubjectRecord:
-    subject_id: int
-    treatment: str
-    group_id: int
-    covariates: CovariateProfile
-    belief_others_total: float
-    perception_accuracy: float
-    pivotal: int
-    contribution: Money
-    group_total: Money = Money(0)
-    threshold_drawn: Money = Money(0)
-    success: int = 0
-    earnings: Money = Money(0)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    subject_id: int
-    treatment: str
-    group_id: int
-
-
-@dataclass(frozen=True)
 class SimConfig:
     n_subjects: int = 1500
     arms: tuple[str, ...] = ARMS
@@ -194,6 +173,8 @@ class SimConfig:
     pivotal_effects: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if self.n_subjects < 1:
+            raise ValueError(f"need at least one subject, got {self.n_subjects}")
         if self.resolution_policy not in RESOLUTION_POLICIES:
             raise ValueError(
                 f"resolution policy {self.resolution_policy!r} not in {RESOLUTION_POLICIES}")
@@ -207,6 +188,32 @@ class SimConfig:
         return self.game.n_players
 
 
+# --- random streams -------------------------------------------------------------
+
+def draws(seed: int, stream: str, start: int, stop: int) -> np.ndarray:
+    """Rows ``[start, stop)`` of a stream's uniforms in [0, 1), one row per
+    subject or group; equal to the stream advanced to row ``start``."""
+    if not 0 <= start <= stop:
+        raise ValueError(f"bad row range [{start}, {stop})")
+    purpose, width = STREAMS[stream]
+    bitgen = np.random.Philox(np.random.SeedSequence([int(seed), purpose]))
+    bitgen.advance(start * width // 4)  # one counter step yields four words
+    words = bitgen.random_raw((stop - start) * width)
+    return ((words >> np.uint64(11)) * 2.0 ** -53).reshape(stop - start, width)
+
+
+def normals(u: np.ndarray) -> np.ndarray:
+    """Box-Muller on the first ``N_NORMALS`` columns of subject rows: the pair
+    (a, b) gives r cos t and r sin t, with r = sqrt(-2 ln(1 - a)), t = 2 pi b."""
+    a, b = u[:, 0:N_NORMALS:2], u[:, 1:N_NORMALS:2]
+    r = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - a).ravel().tolist()))))
+    t = (2.0 * math.pi * b).ravel().tolist()
+    z = np.empty((len(u), N_NORMALS))
+    z[:, 0::2] = (r * np.array(list(map(math.cos, t)))).reshape(a.shape)
+    z[:, 1::2] = (r * np.array(list(map(math.sin, t)))).reshape(a.shape)
+    return z
+
+
 # --- randomization -----------------------------------------------------------
 
 def randomize(
@@ -215,8 +222,9 @@ def randomize(
     seed: int = 0,
     group_size: int = 5,
     remainder_policy: str = "error",
-) -> list[Assignment]:
-    """Equal-probability arm assignment; within an arm, consecutive blocks of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-probability arm assignment as (subject_id, treatment, group_id)
+    columns sorted by subject; within an arm, consecutive blocks of
     ``group_size`` form groups.  Deterministic under ``seed``.
 
     ``remainder_policy='drop'`` silently leaves out subjects that do not fill
@@ -228,119 +236,78 @@ def randomize(
             f"{n_subjects} subjects do not split into groups of {group_size} "
             f"across {len(arms)} arms; use remainder_policy='drop' or adjust n")
     per_arm = (n_subjects // block) * group_size
-    rng = _rng(seed, _STREAM_ASSIGN)
-    order = rng.permutation(n_subjects)
-    assignments = []
-    group_id = 0
-    pos = 0
-    for arm in arms:
-        members = order[pos:pos + per_arm]
-        pos += per_arm
-        for j, subject in enumerate(members):
-            if j % group_size == 0:
-                group_id += 1
-            assignments.append(Assignment(int(subject), arm, group_id - 1))
-    assignments.sort(key=lambda a: a.subject_id)
-    return assignments
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    kept = rng.permutation(n_subjects)[:per_arm * len(arms)]
+    by_subject = np.argsort(kept)
+    return (kept[by_subject], np.repeat(np.array(arms), per_arm)[by_subject],
+            (np.arange(kept.size) // group_size)[by_subject])
 
 
 # --- covariates --------------------------------------------------------------
 
-def _rounded_clipped(rng: np.random.Generator, spec: tuple) -> int:
-    mean, sd, lo, hi = spec
-    return int(min(max(round(rng.normal(mean, sd)), lo), hi))
-
-
-def draw_covariates(rng: np.random.Generator) -> CovariateProfile:
-    """One covariate profile from one substream; draw order is part of the format."""
-    z_risk = rng.standard_normal()
-    z_extra = rng.standard_normal()
+def draw_covariates(z: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
+    """Covariate columns from subject rows: normals ``z``, uniforms ``u``."""
+    col = SUBJECT_ROW.index
     rho = RISK_AMBIGUITY_LATENT_CORR
-    z_amb = rho * z_risk + math.sqrt(1 - rho * rho) * z_extra
-    risk = min(max(RISK_LATENT[0] + RISK_LATENT[1] * z_risk, RISK_BOUNDS[0]), RISK_BOUNDS[1])
-    amb = min(max(AMBIGUITY_LATENT[0] + AMBIGUITY_LATENT[1] * z_amb,
-                  AMBIGUITY_BOUNDS[0]), AMBIGUITY_BOUNDS[1])
-    return CovariateProfile(
-        age=_rounded_clipped(rng, AGE),
-        female=int(rng.random() < P_FEMALE),
-        education=_rounded_clipped(rng, EDUCATION),
-        patience=_rounded_clipped(rng, PATIENCE),
-        crt=_rounded_clipped(rng, CRT),
-        math_ability=_rounded_clipped(rng, MATH_ABILITY),
-        altruism=_rounded_clipped(rng, ALTRUISM),
-        envy=_rounded_clipped(rng, ENVY),
-        ideology=_rounded_clipped(rng, IDEOLOGY),
-        gravity=_rounded_clipped(rng, GRAVITY),
-        number_actions=_rounded_clipped(rng, NUMBER_ACTIONS),
-        unemployed=int(rng.random() < P_UNEMPLOYED),
-        social_transfer=int(rng.random() < P_SOCIAL_TRANSFER),
-        risk_aversion=risk,
-        ambiguity_aversion=amb,
-    )
+    z_amb = rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]
+    cov = {
+        "risk_aversion": np.clip(RISK_LATENT[0] + RISK_LATENT[1] * z[:, 0], *RISK_BOUNDS),
+        "ambiguity_aversion": np.clip(AMBIGUITY_LATENT[0] + AMBIGUITY_LATENT[1] * z_amb,
+                                      *AMBIGUITY_BOUNDS),
+    }
+    for name, (mean, sd, lo, hi) in ROUNDED_COVARIATES.items():
+        cov[name] = np.clip(np.rint(mean + sd * z[:, col(name)]), lo, hi)
+    for name, p in BINARY_COVARIATES.items():
+        cov[name] = (u[:, col(name)] < p).astype(float)
+    return cov
 
 
-def synth_covariates(n: int, seed: int = 0) -> list[CovariateProfile]:
-    if n < 1:
-        raise ValueError("need at least one subject")
-    return [draw_covariates(_rng(seed, _STREAM_SUBJECT, i)) for i in range(n)]
+def _linear(coefs: Mapping[str, float], values: Mapping[str, np.ndarray]):
+    """``const`` plus each other coefficient times its named value, in order."""
+    x = coefs["const"]
+    for name, coef in coefs.items():
+        if name != "const":
+            x = x + coef * values[name]
+    return x
 
 
 # --- beliefs -----------------------------------------------------------------
 
-def belief_index(cov: CovariateProfile) -> float:
+def belief_index(cov: Mapping[str, np.ndarray]):
     """Noise-free belief about the other members' total contribution."""
-    b = BELIEF_COEFS
-    return (b["const"]
-            + b["education"] * cov.education
-            + b["altruism"] * cov.altruism
-            + b["gravity"] * cov.gravity
-            + b["number_actions"] * cov.number_actions
-            + b["crt"] * cov.crt
-            + b["risk_aversion"] * cov.risk_aversion
-            + b["ambiguity_aversion"] * cov.ambiguity_aversion)
+    return _linear(BELIEF_COEFS, cov)
 
 
 def gen_belief(
-    cov: CovariateProfile,
-    treatment: str,
-    rng: np.random.Generator | int,
+    cov: Mapping[str, np.ndarray],
+    noise: np.ndarray,
     noise_sd: float = BELIEF_NOISE_SD,
     game: GameSpec = DEFAULT_GAME,
-) -> float:
-    """Belief in [0, what the others can give]; the treatment carries no weight."""
-    if isinstance(rng, int):
-        rng = _rng(rng, _STREAM_SUBJECT, 0)
-    noise = rng.normal(0.0, noise_sd) if noise_sd > 0 else 0.0
+) -> np.ndarray:
+    """Beliefs in [0, what the others can give]: the index plus ``noise_sd``
+    times the standard normals ``noise``.  No treatment enters."""
     cap = (game.endowment * (game.n_players - 1)).euros
-    return float(min(max(belief_index(cov) + noise, 0.0), cap))
+    return np.clip(belief_index(cov) + noise_sd * noise, 0.0, cap)
 
 
-def is_pivotal(belief: float) -> bool:
-    return PIVOTAL_RANGE[0] <= belief < PIVOTAL_RANGE[1]
+def is_pivotal(belief):
+    """Whether a belief can swing threshold attainment, elementwise."""
+    return (PIVOTAL_RANGE[0] <= belief) & (belief < PIVOTAL_RANGE[1])
 
 
 # --- contributions -----------------------------------------------------------
 
-def contribution_index(cov: CovariateProfile, belief: float) -> float:
+def contribution_index(cov: Mapping[str, np.ndarray], belief):
     """Noise-free linear contribution index (euros, unrounded)."""
-    c = CONTRIBUTION_COEFS
-    return (c["const"]
-            + c["belief"] * belief
-            + c["risk_aversion"] * cov.risk_aversion
-            + c["ambiguity_aversion"] * cov.ambiguity_aversion
-            + c["crt"] * cov.crt
-            + c["age"] * cov.age)
+    return _linear(CONTRIBUTION_COEFS, {**cov, "belief": belief})
 
 
-def round_to_grid(x: float, game: GameSpec = DEFAULT_GAME) -> Money:
-    """Nearest grid point in [0, endowment]; exact halves round down."""
-    step = game.grid_step.euros
-    q = x / step
-    k = math.floor(q + 0.5)
-    if q + 0.5 == k:
-        k -= 1
-    k = min(max(k, 0), game.endowment // game.grid_step)
-    return game.grid_step * k
+def round_to_grid(x, game: GameSpec = DEFAULT_GAME) -> np.ndarray:
+    """Cents of the nearest grid point in [0, endowment]; exact halves round down."""
+    q = np.asarray(x, dtype=float) / game.grid_step.euros
+    k = np.floor(q + 0.5)
+    k = np.clip(k - (q + 0.5 == k), 0, game.endowment // game.grid_step)
+    return (k * game.grid_step.cents).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -361,212 +328,234 @@ def _equilibrium_contribution(
     return Money(total.cents // game.n_players)
 
 
-def _best_response(
-    cov: CovariateProfile, belief: float, curve: SuccessCurve, game: GameSpec
-) -> Money:
-    # Power exponent implied by the measured risk attitude; 1 is neutral.
-    rho = max(1.0 - cov.risk_aversion, 0.05)
-    u = PowerUtility(rho)
-    best_c, best_v = Money(0), -math.inf
-    for c in game.contribution_grid():
-        total = min(c.euros + belief, curve.domain_max.euros)
-        v = u((game.endowment - c).euros) * float(curve.value_at_euros(total))
-        if v > best_v + 1e-12:
-            best_c, best_v = c, v
-    return best_c
+def _best_responses(
+    risk: np.ndarray, belief: np.ndarray, curve: SuccessCurve, game: GameSpec
+) -> np.ndarray:
+    """Each subject's payoff-maximizing contribution in cents: the lowest one
+    within ``TIE_TOL`` of the best of u(kept) * p(own + belief), with
+    u(x) = x ** max(1 - risk aversion, 0.05); 1 is risk neutral."""
+    grid = np.array([c.cents for c in game.contribution_grid()])
+    kept = ((game.endowment.cents - grid) / 100.0).tolist()
+    u = np.array([[x ** rho for x in kept] for rho in np.maximum(1.0 - risk, 0.05).tolist()])
+    total = np.minimum(grid / 100.0 + belief[:, None], curve.domain_max.euros)
+    # The step lookup of SuccessCurve.value_at_euros, over the whole array.
+    steps = [c.cents for c, _ in curve.breakpoints]
+    at = np.searchsorted(steps, np.floor(total * 100 + 1e-9), side="right") - 1
+    payoff = u * np.array([float(p) for _, p in curve.breakpoints])[at]
+    return grid[np.argmax(payoff >= payoff.max(axis=1, keepdims=True) - TIE_TOL, axis=1)]
 
 
 def gen_contribution(
-    cov: CovariateProfile,
-    treatment: str,
-    belief: float,
+    cov: Mapping[str, np.ndarray],
+    treatment: np.ndarray,
+    belief: np.ndarray,
     rule: BehavioralRule,
-    rng: np.random.Generator | int,
+    noise: np.ndarray,
+    component: np.ndarray,
     game: GameSpec = DEFAULT_GAME,
-    index_shift: float = 0.0,
-) -> Money:
-    """Contribution on the grid in [0, endowment] under the given rule.
+    index_shift=0.0,
+) -> np.ndarray:
+    """Contributions in cents, on the grid in [0, endowment], under ``rule``.
 
-    ``index_shift`` lets the experiment pipeline inject arm effects or
-    interaction terms without touching the calibrated base coefficients.
+    ``noise`` (standard normal) and ``component`` (uniform) drive the paper
+    rule's mixture noise.  ``index_shift`` lets the experiment pipeline inject
+    arm effects or interaction terms without touching the calibrated base
+    coefficients.
     """
-    if isinstance(rng, int):
-        rng = _rng(rng, _STREAM_SUBJECT, 0)
     if rule.kind == "paper-calibrated-linear":
         x = contribution_index(cov, belief) + index_shift
         if rule.noise:
             w, mean_a, sd_a, mean_b, sd_b = CONTRIBUTION_NOISE
-            z = rng.standard_normal()
-            x += (mean_a + sd_a * z) if rng.random() < w else (mean_b + sd_b * z)
+            x = x + np.where(component < w, mean_a + sd_a * noise, mean_b + sd_b * noise)
         return round_to_grid(x, game)
-    if rule.kind == "belief-best-responder":
-        curve = _arm_curve(treatment, rule.pessimism, game)
-        return _best_response(cov, belief, curve, game)
-    if rule.kind == "equilibrium-selector":
-        return _equilibrium_contribution(treatment, rule.pessimism, rule.equilibrium_pick, game)
     if rule.kind == "altruist-fixed":
         if not game.on_grid(rule.fixed_contribution):
             raise ValueError(f"fixed contribution {rule.fixed_contribution} off the grid")
-        return rule.fixed_contribution
-    raise AssertionError(f"unhandled rule kind {rule.kind!r}")
+        return np.full(len(treatment), rule.fixed_contribution.cents, dtype=np.int64)
+    out = np.empty(len(treatment), dtype=np.int64)
+    for arm in sorted(set(treatment.tolist())):
+        rows = treatment == arm
+        if rule.kind == "equilibrium-selector":
+            out[rows] = _equilibrium_contribution(
+                arm, rule.pessimism, rule.equilibrium_pick, game).cents
+        else:
+            out[rows] = _best_responses(cov["risk_aversion"][rows], belief[rows],
+                                        _arm_curve(arm, rule.pessimism, game), game)
+    return out
 
 
 # --- payoff realization ------------------------------------------------------
 
-def draw_threshold(
-    scenario: AmbiguityScenario, policy: str, rng: np.random.Generator
-) -> Money:
-    """Threshold for payment; the policy resolves only the ambiguous case."""
-    spec = scenario.threshold
-    if spec.distribution is not None:
-        probs = [float(p) for p in spec.distribution]
-        i = int(rng.choice(len(spec.support), p=probs))
-        return spec.support[i]
-    if policy == "pessimistic":
-        return spec.support[-1]
-    if policy == "optimistic":
-        return spec.support[0]
-    return spec.support[int(rng.integers(len(spec.support)))]
+def resolution(
+    scenario: AmbiguityScenario, policy: str
+) -> tuple[tuple[Fraction, ...], Fraction | None]:
+    """How ``policy`` resolves an arm's ambiguity: (threshold weights, interval point).
 
-
-def _resolve_interval(lo: float, hi: float, policy: str, rng: np.random.Generator) -> float:
-    if lo == hi:
-        return lo
-    if policy == "pessimistic":
-        return lo
-    if policy == "optimistic":
-        return hi
-    return float(rng.uniform(lo, hi))
+    The weights run over the threshold support, lowest first; a known
+    distribution keeps its own.  The point says where an ambiguous success
+    chance lands in its interval [lo, hi], as a share of the way from lo to
+    hi; None is a uniform draw, whose mean is the midpoint.  It serves both
+    the draw in ``realize_payoffs`` and the exact ``success_probability``.
+    """
+    if policy not in RESOLUTION_POLICIES:
+        raise ValueError(f"unknown resolution policy {policy!r}")
+    n = len(scenario.threshold.support)
+    one, zeros = (Fraction(1),), (Fraction(0),) * (n - 1)
+    weights, point = {
+        "uniform": ((Fraction(1, n),) * n, None),
+        "pessimistic": (zeros + one, Fraction(0)),
+        "optimistic": (one + zeros, Fraction(1)),
+    }[policy]
+    return scenario.threshold.distribution or weights, point
 
 
 def success_probability(
     scenario: AmbiguityScenario, total: Money, policy: str = "uniform"
 ) -> Fraction:
-    """Marginal success chance over the threshold draw and the probability draw.
-
-    Under the uniform policy, ambiguous thresholds are drawn uniformly over
-    the support and an ambiguous success probability averages to the interval
-    midpoint; the pessimistic/optimistic policies take the worst/best of both.
-    """
-    if policy not in RESOLUTION_POLICIES:
-        raise ValueError(f"unknown resolution policy {policy!r}")
-    spec = scenario.threshold
-    if spec.distribution is not None:
-        weights = list(zip(spec.support, spec.distribution))
-    elif policy == "pessimistic":
-        weights = [(spec.support[-1], Fraction(1))]
-    elif policy == "optimistic":
-        weights = [(spec.support[0], Fraction(1))]
-    else:
-        w = Fraction(1, len(spec.support))
-        weights = [(t, w) for t in spec.support]
-
-    def resolve(interval) -> Fraction:
-        if policy == "pessimistic":
-            return interval.lo
-        if policy == "optimistic":
-            return interval.hi
-        return (interval.lo + interval.hi) / 2
-
-    total_p = Fraction(0)
-    for threshold, w in weights:
+    """Marginal success chance over the threshold draw and the probability draw."""
+    weights, point = resolution(scenario, policy)
+    share = Fraction(1, 2) if point is None else point
+    chance = Fraction(0)
+    for threshold, w in zip(scenario.threshold.support, weights):
         interval = (scenario.p_success_if_met if total >= threshold
                     else scenario.p_success_if_unmet)
-        total_p += w * resolve(interval)
-    return total_p
+        chance += w * (interval.lo + share * (interval.hi - interval.lo))
+    return chance
 
 
 def realize_payoffs(
-    records: list[SubjectRecord],
-    scenario: AmbiguityScenario,
+    treatment: np.ndarray,
+    group_id: np.ndarray,
+    contribution: np.ndarray,
     resolution_policy: str = "uniform",
     seed: int = 0,
     game: GameSpec = DEFAULT_GAME,
-) -> list[SubjectRecord]:
-    """Draw thresholds and success per group, then set earnings.
+) -> dict[str, np.ndarray]:
+    """Per subject: group total, drawn threshold, success and earnings, money
+    in cents.  Group ``g`` draws from row ``g`` of the group stream.
 
     Earnings are game earnings only: endowment minus contribution on success,
     zero on loss.
     """
-    if resolution_policy not in RESOLUTION_POLICIES:
-        raise ValueError(f"unknown resolution policy {resolution_policy!r}")
-    by_group: dict[int, list[SubjectRecord]] = {}
-    for rec in records:
-        by_group.setdefault(rec.group_id, []).append(rec)
-    out = []
-    for group_id in sorted(by_group):
-        members = by_group[group_id]
-        total = Money(sum(r.contribution.cents for r in members))
-        rng = _rng(seed, _STREAM_GROUP, group_id)
-        threshold = draw_threshold(scenario, resolution_policy, rng)
-        interval = (scenario.p_success_if_met if total >= threshold
-                    else scenario.p_success_if_unmet)
-        p = _resolve_interval(float(interval.lo), float(interval.hi),
-                              resolution_policy, rng)
-        success = int(rng.random() < p)
-        for rec in members:
-            earned = game.endowment - rec.contribution if success else Money(0)
-            out.append(replace(rec, group_total=total, threshold_drawn=threshold,
-                               success=success, earnings=earned))
-    out.sort(key=lambda r: r.subject_id)
-    return out
+    n_groups = int(group_id.max(initial=-1)) + 1
+    total = np.bincount(group_id, weights=contribution, minlength=n_groups).astype(np.int64)
+    arm = np.empty(n_groups, dtype=treatment.dtype)
+    arm[group_id] = treatment
+    u = draws(seed, "group", 0, n_groups)
+    threshold, chance = np.zeros(n_groups, dtype=np.int64), np.zeros(n_groups)
+    for label in sorted(set(treatment.tolist())):
+        g = arm == label
+        scenario = make_scenario(label)
+        weights, point = resolution(scenario, resolution_policy)
+        support = np.array([t.cents for t in scenario.threshold.support])
+        cumulative = [float(c) for c in itertools.accumulate(weights)]
+        pick = np.searchsorted(cumulative, u[g, 0], side="right")
+        threshold[g] = support[np.minimum(pick, len(support) - 1)]
+        met = (total[g] >= threshold[g]).astype(np.int64)
+        intervals = (scenario.p_success_if_unmet, scenario.p_success_if_met)
+        lo = np.array([float(iv.lo) for iv in intervals])[met]
+        width = np.array([float(iv.hi - iv.lo) for iv in intervals])[met]
+        chance[g] = lo + width * (u[g, 1] if point is None else float(point))
+    success = (u[:, 2] < chance)[group_id]
+    return {"group_total": total[group_id], "threshold_drawn": threshold[group_id],
+            "success": success.astype(np.int64),
+            "earnings": np.where(success, game.endowment.cents - contribution, 0)}
 
 
 # --- pipeline ----------------------------------------------------------------
 
-def _index_shift(config: SimConfig, arm: str, cov: CovariateProfile,
-                 pivotal: int, accuracy: float) -> float:
-    shift = dict(config.arm_effects).get(arm, 0.0)
+def _by_arm(treatment: np.ndarray, values: Mapping[str, float], default: float) -> np.ndarray:
+    out = np.full(len(treatment), default)
+    for arm, value in values.items():
+        out[treatment == arm] = value
+    return out
+
+
+def _index_shift(config: SimConfig, treatment: np.ndarray, risk: np.ndarray,
+                 pivotal: np.ndarray, accuracy: np.ndarray) -> np.ndarray:
+    shift = _by_arm(treatment, dict(config.arm_effects), 0.0)
     if config.risk_slope_by_arm is not None:
-        slope = dict(config.risk_slope_by_arm).get(arm, CONTRIBUTION_COEFS["risk_aversion"])
-        shift += (slope - CONTRIBUTION_COEFS["risk_aversion"]) * cov.risk_aversion
+        base = CONTRIBUTION_COEFS["risk_aversion"]
+        shift = shift + (_by_arm(treatment, dict(config.risk_slope_by_arm), base) - base) * risk
     if config.pivotal_effects is not None:
         base, cross = config.pivotal_effects
-        shift += base * pivotal + cross * pivotal * accuracy
+        shift = shift + (base * pivotal + cross * pivotal * accuracy)
     return shift
 
 
+def simulate(config: SimConfig, seed: int) -> Dataset:
+    """The experiment's columns; deterministic per (config, seed)."""
+    subject_id, treatment, group_id = randomize(
+        config.n_subjects, config.arms, seed, config.group_size, config.remainder_policy)
+    u = draws(seed, "subject", 0, config.n_subjects)[subject_id]
+    z = normals(u)
+    col = SUBJECT_ROW.index
+    cov = draw_covariates(z, u)
+    belief = gen_belief(cov, z[:, col("belief_noise")], config.belief_noise_sd, config.game)
+    accuracy = 100.0 * u[:, col("perception_accuracy")]
+    pivotal = is_pivotal(belief).astype(float)
+    shift = _index_shift(config, treatment, cov["risk_aversion"], pivotal, accuracy)
+    contribution = gen_contribution(
+        cov, treatment, belief, config.rule, z[:, col("contribution_noise")],
+        u[:, col("noise_component")], config.game, shift)
+    payoffs = realize_payoffs(treatment, group_id, contribution,
+                              config.resolution_policy, seed, config.game)
+    cols = {**cov, "subject_id": subject_id, "treatment": treatment, "group_id": group_id,
+            "belief": belief, "perception_accuracy": accuracy, "pivotal": pivotal,
+            "contribution": contribution / 100,
+            **{name: cents / 100 for name, cents in payoffs.items() if name != "success"},
+            "success": payoffs["success"]}
+    return Dataset({name: cols[name] for name in CSV_COLUMNS})
+
+
+# --- record adapters -------------------------------------------------------------
+
+@dataclass(slots=True)
+class SubjectRecord:
+    """One row of ``simulate``'s output; money as ``Money``, covariates in order."""
+
+    subject_id: int
+    treatment: str
+    group_id: int
+    covariates: tuple[float, ...]
+    belief_others_total: float
+    perception_accuracy: float
+    pivotal: int
+    contribution: Money
+    group_total: Money
+    threshold_drawn: Money
+    success: int
+    earnings: Money
+
+
 def run_experiment(config: SimConfig, seed: int) -> list[SubjectRecord]:
-    """Full pipeline; deterministic per (config, seed)."""
-    assignments = randomize(config.n_subjects, config.arms, seed,
-                            config.group_size, config.remainder_policy)
-    scenarios = {arm: make_scenario(arm) for arm in config.arms}
-    records = []
-    for a in assignments:
-        rng = _rng(seed, _STREAM_SUBJECT, a.subject_id)
-        cov = draw_covariates(rng)
-        belief = gen_belief(cov, a.treatment, rng, config.belief_noise_sd, config.game)
-        accuracy = float(rng.uniform(0.0, 100.0))
-        pivotal = int(is_pivotal(belief))
-        shift = _index_shift(config, a.treatment, cov, pivotal, accuracy)
-        contribution = gen_contribution(cov, a.treatment, belief, config.rule,
-                                        rng, config.game, shift)
-        records.append(SubjectRecord(
-            subject_id=a.subject_id,
-            treatment=a.treatment,
-            group_id=a.group_id,
-            covariates=cov,
-            belief_others_total=belief,
-            perception_accuracy=accuracy,
-            pivotal=pivotal,
-            contribution=contribution,
-        ))
-    final = []
-    for arm in config.arms:
-        arm_records = [r for r in records if r.treatment == arm]
-        final.extend(realize_payoffs(arm_records, scenarios[arm],
-                                     config.resolution_policy, seed, config.game))
-    final.sort(key=lambda r: r.subject_id)
-    return final
+    """``simulate`` as one record per subject."""
+    cols = simulate(config, seed).columns
+    amounts: dict[int, Money] = {}  # Money is immutable: equal amounts share one object
+
+    def money(name: str) -> list[Money]:
+        cents = np.rint(cols[name] * 100).astype(np.int64).tolist()
+        return [amounts.get(c) or amounts.setdefault(c, Money(c)) for c in cents]
+
+    def ints(name: str) -> list[int]:
+        return cols[name].astype(np.int64).tolist()
+
+    rows = zip(ints("subject_id"), cols["treatment"].tolist(), ints("group_id"),
+               zip(*(cols[name].tolist() for name in COVARIATES)), cols["belief"].tolist(),
+               cols["perception_accuracy"].tolist(), ints("pivotal"), money("contribution"),
+               money("group_total"), money("threshold_drawn"), ints("success"),
+               money("earnings"))
+    return [SubjectRecord(*row) for row in rows]
 
 
 def records_to_dataset(records: list[SubjectRecord]) -> Dataset:
-    cols = {name: [getattr(r.covariates, name) for r in records]
-            for name in CovariateProfile.__dataclass_fields__}
+    """Records back to the columns ``simulate`` returns, bit for bit."""
+    cols = {name: [r.covariates[i] for r in records] for i, name in enumerate(COVARIATES)}
     for name in ("subject_id", "treatment", "group_id", "perception_accuracy", "pivotal",
                  "success"):
         cols[name] = [getattr(r, name) for r in records]
     cols["belief"] = [r.belief_others_total for r in records]
     for name in ("contribution", "group_total", "threshold_drawn", "earnings"):
         cols[name] = np.array([getattr(r, name).cents for r in records], dtype=float) / 100
-    return Dataset({name: cols[name] for name in CSV_COLUMNS})
+    return Dataset({name: np.array(cols[name], dtype=str if name == "treatment" else float)
+                    for name in CSV_COLUMNS})

@@ -28,7 +28,7 @@ from thresholdgame.preferences import (
     check_condition,
     power_threshold,
 )
-from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
+from thresholdgame.simulator import SimConfig, simulate
 from thresholdgame.solver import (
     enumerate_all_profiles,
     enumerate_symmetric,
@@ -144,9 +144,8 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_simulator_calibration():
     means, below, above, beliefs = [], [], [], []
     for seed in range(20):
-        records = run_experiment(SimConfig(), seed)
-        c = np.array([r.contribution.euros for r in records])
-        b = np.array([r.belief_others_total for r in records])
+        data = simulate(SimConfig(), seed)
+        c, b = data.numeric("contribution"), data.numeric("belief")
         means.append(c.mean())
         below.append(np.mean(c < 2))
         above.append(np.mean(c > 2))
@@ -181,7 +180,7 @@ def test_criterion_6_null_result_property():
     risk_significant = 0
     n_seeds = 100
     for seed in range(n_seeds):
-        data = records_to_dataset(run_experiment(SimConfig(), seed))
+        data = simulate(SimConfig(), seed)
         ate = ate_report(data)
         for arm in within:
             if abs(ate.coef(arm)) <= 2.0 * ate.se(arm):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,24 +82,61 @@ def test_theory_artifacts_match_golden_bytes(tmp_path, capsys, golden, argv):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+#: Declared simulate goldens (RNG format 2): file stem -> extra flags.  The
+#: step-0.50 run puts half-euro amounts in the money columns.
+SIMULATE_GOLDENS = {
+    "n200_seed3": [],
+    "n200_seed3_step0.50": ["--grid-step", "0.50", "--resolution", "pessimistic"],
+}
+
+
 def test_simulate_and_analyze_match_golden_bytes(tmp_path, capsys):
-    # The step-0.50 run puts half-euro amounts in the money columns.
-    for name, flags in (
-        ("n200_seed3", []),
-        ("n200_seed3_step0.50", ["--grid-step", "0.50", "--resolution", "pessimistic"]),
-    ):
-        # analyze records the data file's base name in its header, so keep it.
-        data = tmp_path / f"simulate_{name}.csv"
+    for name, flags in SIMULATE_GOLDENS.items():
+        data = tmp_path / f"simulate_v2_{name}.csv"
         argv = ["simulate", "--n", "200", "--seed", "3", "--out", str(data)] + flags
         assert run(argv, capsys)[0] == 0
         assert data.read_bytes() == (GOLDEN / data.name).read_bytes()
+        # The analyze goldens keep their fixed inputs, the RNG format 1 files
+        # of the same commands; analyze records the data file's base name.
         out_dir = tmp_path / f"analysis_{name}"
-        assert run(["analyze", "--data", str(data), "--out", str(out_dir)], capsys)[0] == 0
+        argv = ["analyze", "--data", str(GOLDEN / f"simulate_{name}.csv"), "--out", str(out_dir)]
+        assert run(argv, capsys)[0] == 0
         expected = GOLDEN / f"analyze_{name}"
         assert sorted(p.name for p in out_dir.iterdir()) == \
             sorted(p.name for p in expected.iterdir())
         for path in expected.iterdir():
             assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_simulate_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # numpy's AVX-512 log/exp/power differ from libm in the last bits; the
+    # simulator must not use them.  The goldens hold with that dispatch off,
+    # and a run large enough to hit such last-bit cases is byte-identical
+    # with it on and off.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    off = "X86_V4 AVX512_ICL AVX512_SPR"
+
+    def simulate(out, flags, disabled):
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run(
+            [sys.executable, "-m", "thresholdgame.cli", "simulate", "--out", str(out), *flags],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    for name, flags in SIMULATE_GOLDENS.items():
+        got = simulate(tmp_path / f"{name}.csv", ["--n", "200", "--seed", "3", *flags], off)
+        assert got == (GOLDEN / f"simulate_v2_{name}.csv").read_bytes(), name
+    big = ["--n", "6000", "--seed", "5"]
+    assert simulate(tmp_path / "on.csv", big, "") == simulate(tmp_path / "off.csv", big, off)
+
+
+def test_simulate_header_declares_the_rng_format(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--n", "20", "--seed", "1", "--out", str(out)], capsys)[0] == 0
+    config = next(ln for ln in out.read_text().splitlines() if ln.startswith("# config="))
+    assert json.loads(config[len("# config="):])["rng_format"] == 2
 
 
 def test_simulate_requires_seed(tmp_path, capsys):
@@ -203,3 +243,36 @@ def test_fine_grid_cap_exit_code(tmp_path, capsys):
     finally:
         cli_mod.enumerate_symmetric = orig
     assert code == 4
+
+
+@pytest.mark.parametrize("mode, alpha, rho, step", [
+    ("paper", 1.0, 1.0, "1.00"), ("raw", 1.0, 0.7, "0.50"), ("paper", 0.0, 3.0, "0.50"),
+    ("raw", 0.3, 0.4, "1.00"),
+])
+def test_solve_builds_each_arm_once_and_prints_the_equilibrium_table(
+        capsys, monkeypatch, mode, alpha, rho, step):
+    import thresholdgame.cli as cli_mod
+    import thresholdgame.solver as solver_mod
+    from thresholdgame.game import GameSpec
+    from thresholdgame.money import Money
+    from thresholdgame.preferences import PowerUtility
+
+    built = {"curves": 0, "tables": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "build_success_curve",
+                        counted(cli_mod.build_success_curve, "curves"))
+    monkeypatch.setattr(solver_mod, "PayoffTable", counted(solver_mod.PayoffTable, "tables"))
+    code, out = run(["solve", "--mode", mode, "--alpha", str(alpha), "--rho", str(rho),
+                     "--grid-step", step], capsys)
+    assert code == 0
+    assert built == {"curves": 4, "tables": 4}
+    monkeypatch.undo()
+    table = solver_mod.equilibrium_table(PowerUtility(rho), alpha,
+                                         GameSpec(grid_step=Money.parse(step)))
+    assert out.rstrip("\n").endswith(table.render())

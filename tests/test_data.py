@@ -5,11 +5,11 @@ import pytest
 
 from thresholdgame.data import CSV_COLUMNS, Dataset
 from thresholdgame.econometrics import analysis_battery, build_design
-from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
+from thresholdgame.simulator import SimConfig, simulate
 
 
 def test_csv_roundtrip(tmp_path):
-    data = records_to_dataset(run_experiment(SimConfig(n_subjects=40), seed=2))
+    data = simulate(SimConfig(n_subjects=40), seed=2)
     path = tmp_path / "exp.csv"
     data.write_csv(path, "seed=2\nextra note")
     loaded = Dataset.read_csv(path)
@@ -61,7 +61,7 @@ def test_numeric_handles_blanks(tmp_path):
 
 
 def test_external_csv_with_label_column_and_blanks(tmp_path):
-    data = records_to_dataset(run_experiment(SimConfig(n_subjects=200), seed=4))
+    data = simulate(SimConfig(n_subjects=200), seed=4)
     text = data.to_csv_text().splitlines()
     header = text[0].split(",")
     blank_cols = [header.index(c) for c in ("age", "belief", "contribution")]
@@ -83,6 +83,24 @@ def test_external_csv_with_label_column_and_blanks(tmp_path):
     assert design.n_obs == 195
     names = [name for name, _, _ in analysis_battery(loaded)]
     assert names[0] == "balance" and names[-1] == "histogram" and len(names) == 9
+
+
+def test_blank_treatment_is_missing_not_an_arm(tmp_path):
+    lines = simulate(SimConfig(n_subjects=200), seed=4).to_csv_text().splitlines()
+    column = lines[0].split(",").index("treatment")
+    cells = lines[11].split(",")
+    cells[column] = ""
+    blanked = tmp_path / "blanked.csv"
+    blanked.write_text("\n".join(lines[:11] + [",".join(cells)] + lines[12:]) + "\n")
+    dropped = tmp_path / "dropped.csv"
+    dropped.write_text("\n".join(lines[:11] + lines[12:]) + "\n")
+    with_blank = {name: rows for name, rows, _ in analysis_battery(Dataset.read_csv(blanked))}
+    without = {name: rows for name, rows, _ in analysis_battery(Dataset.read_csv(dropped))}
+    # Every section equals the analysis of the data without that row: models
+    # drop it listwise, balance, polarization and the histogram skip it.
+    assert with_blank == without
+    assert [r["term"] for r in with_blank["ate"]] == ["const", "AR", "RA", "AA"]
+    assert with_blank["ate"][0]["n_obs"] == 199
 
 
 def test_text_in_a_schema_number_column_is_rejected(tmp_path):

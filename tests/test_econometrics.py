@@ -20,11 +20,12 @@ from thresholdgame.econometrics import (
     pivotal_model,
     polarization,
 )
-from thresholdgame.simulator import SimConfig, records_to_dataset, run_experiment
+from thresholdgame import simulator
+from thresholdgame.simulator import SimConfig
 
 
 def simulate(seed, **config):
-    return records_to_dataset(run_experiment(SimConfig(**config), seed))
+    return simulator.simulate(SimConfig(**config), seed)
 
 
 def toy_dataset(x, y, treatment=None):

@@ -1,92 +1,141 @@
-import dataclasses
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
+from scipy import stats
 
 from thresholdgame.data import CSV_COLUMNS
-from thresholdgame.game import ARMS, GameSpec, make_scenario
+from thresholdgame.game import ARMS, TREATMENTS, GameSpec, make_scenario
 from thresholdgame.money import Money
 from thresholdgame.simulator import (
+    COVARIATES,
+    N_NORMALS,
+    RESOLUTION_POLICIES,
+    SUBJECT_ROW,
     BehavioralRule,
-    CovariateProfile,
     SimConfig,
-    SubjectRecord,
+    _arm_curve,
     belief_index,
     contribution_index,
-    draw_threshold,
+    draw_covariates,
+    draws,
     gen_belief,
     gen_contribution,
     is_pivotal,
+    normals,
     randomize,
     realize_payoffs,
     records_to_dataset,
     round_to_grid,
     run_experiment,
+    simulate,
     success_probability,
-    synth_covariates,
 )
 
 E = Money.from_euros
 
 
-def make_cov(**overrides) -> CovariateProfile:
-    base = dict(age=0, female=0, education=0, patience=0, crt=0, math_ability=0,
-                altruism=0, envy=0, ideology=0, gravity=0, number_actions=0,
-                unemployed=0, social_transfer=0, risk_aversion=0.0,
-                ambiguity_aversion=0.0)
-    base.update(overrides)
-    return CovariateProfile(**base)
+def make_cov(n=1, **overrides) -> dict[str, np.ndarray]:
+    """Covariate columns of ``n`` identical subjects, zero unless overridden."""
+    return {name: np.full(n, float(overrides.get(name, 0.0))) for name in COVARIATES}
+
+
+def covariates(n: int, seed: int) -> dict[str, np.ndarray]:
+    u = draws(seed, "subject", 0, n)
+    return draw_covariates(normals(u), u)
+
+
+def subject_column(seed: int, n: int, name: str) -> np.ndarray:
+    """The standard normal (or uniform) a subject row feeds into ``name``."""
+    u = draws(seed, "subject", 0, n)
+    j = SUBJECT_ROW.index(name)
+    return normals(u)[:, j] if j < N_NORMALS else u[:, j]
+
+
+def contribute(cov, treatment, belief, rule, game=GameSpec(), shift=0.0):
+    """One contribution per subject in cents, with the noise draws of seed 0."""
+    n = len(belief)
+    return gen_contribution(cov, np.array(treatment), np.asarray(belief, dtype=float), rule,
+                            subject_column(0, n, "contribution_noise"),
+                            subject_column(0, n, "noise_component"), game, shift)
+
+
+# --- random streams ----------------------------------------------------------------
+
+@pytest.mark.parametrize("stream", ["subject", "group"])
+def test_draws_are_partition_invariant(stream):
+    whole = draws(17, stream, 0, 1500)
+    split = np.vstack([draws(17, stream, 0, 700), draws(17, stream, 700, 1500)])
+    assert whole.tobytes() == split.tobytes()
+    assert whole.shape[1] % 4 == 0  # a row is whole Philox counter steps
+    assert whole.min() >= 0.0 and whole.max() < 1.0
+    assert abs(whole.mean() - 0.5) < 0.01
+
+
+def test_normals_are_standard():
+    z = normals(draws(5, "subject", 0, 20_000))
+    assert z.shape == (20_000, N_NORMALS)
+    assert np.abs(z.mean(axis=0)).max() < 0.03
+    assert np.abs(z.std(axis=0) - 1.0).max() < 0.03
+    assert abs(np.corrcoef(z[:, 0], z[:, 1])[0, 1]) < 0.03  # the pair's cos and sin
+
+
+def test_subject_draws_deterministic():
+    assert draws(3, "subject", 0, 50).tobytes() == draws(3, "subject", 0, 50).tobytes()
+    assert draws(3, "subject", 0, 50).tobytes() != draws(4, "subject", 0, 50).tobytes()
+    a, b = covariates(50, 3), covariates(50, 3)
+    assert all(a[name].tobytes() == b[name].tobytes() for name in COVARIATES)
+
+
+def test_simulation_size_validated():
+    with pytest.raises(ValueError):
+        SimConfig(n_subjects=0)
+    with pytest.raises(ValueError):
+        draws(0, "subject", 5, 4)
 
 
 # --- randomization ---------------------------------------------------------------
 
 def test_randomize_balanced_counts():
-    assignment = randomize(1500, seed=11)
-    counts = {arm: 0 for arm in ARMS}
-    for a in assignment:
-        counts[a.treatment] += 1
-    assert counts == {arm: 375 for arm in ARMS}
-    assert [a.subject_id for a in assignment] == list(range(1500))
+    subject_id, treatment, _ = randomize(1500, seed=11)
+    assert {arm: int((treatment == arm).sum()) for arm in ARMS} == {arm: 375 for arm in ARMS}
+    assert subject_id.tolist() == list(range(1500))
 
 
 def test_randomize_minimal_case_one_group_per_arm():
-    assignment = randomize(20, seed=5)
-    groups = {}
-    for a in assignment:
-        groups.setdefault((a.treatment, a.group_id), []).append(a.subject_id)
+    _, treatment, group_id = randomize(20, seed=5)
+    groups = {(t, g) for t, g in zip(treatment.tolist(), group_id.tolist())}
     assert len(groups) == 4
-    assert all(len(members) == 5 for members in groups.values())
+    assert np.bincount(group_id).tolist() == [5, 5, 5, 5]
 
 
 def test_randomize_deterministic():
-    assert randomize(100, seed=9) == randomize(100, seed=9)
-    assert randomize(100, seed=9) != randomize(100, seed=10)
+    a, b, c = randomize(100, seed=9), randomize(100, seed=9), randomize(100, seed=10)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_randomize_group_size_violation():
     with pytest.raises(ValueError):
         randomize(23, seed=1)
-    dropped = randomize(23, seed=1, remainder_policy="drop")
-    assert len(dropped) == 20
+    subject_id, treatment, group_id = randomize(23, seed=1, remainder_policy="drop")
+    assert len(subject_id) == len(treatment) == len(group_id) == 20
 
 
 def test_randomize_groups_do_not_straddle_arms():
-    assignment = randomize(200, seed=3)
+    _, treatment, group_id = randomize(200, seed=3)
     by_group = {}
-    for a in assignment:
-        by_group.setdefault(a.group_id, set()).add(a.treatment)
+    for t, g in zip(treatment.tolist(), group_id.tolist()):
+        by_group.setdefault(g, set()).add(t)
     assert all(len(arms) == 1 for arms in by_group.values())
 
 
 # --- covariates ------------------------------------------------------------------
 
 def test_covariate_moments_match_targets():
-    covs = synth_covariates(10_000, seed=42)
-    risk = np.array([c.risk_aversion for c in covs])
-    amb = np.array([c.ambiguity_aversion for c in covs])
+    covs = covariates(10_000, seed=42)
+    risk, amb = covs["risk_aversion"], covs["ambiguity_aversion"]
     assert risk.mean() == pytest.approx(0.04, abs=0.02)
     assert np.corrcoef(risk, amb)[0, 1] == pytest.approx(-0.41, abs=0.05)
     assert risk.min() >= -0.1 and risk.max() <= 1.0
@@ -96,29 +145,22 @@ def test_covariate_moments_match_targets():
 
 
 def test_covariate_ranges():
-    covs = synth_covariates(2000, seed=7)
-    assert all(1 <= c.education <= 5 for c in covs)
-    assert all(18 <= c.age <= 74 for c in covs)
-    assert all(0 <= c.crt <= 3 for c in covs)
-    assert all(1 <= c.number_actions <= 11 for c in covs)
-    assert all(c.female in (0, 1) for c in covs)
+    covs = covariates(2000, seed=7)
+    assert np.all((1 <= covs["education"]) & (covs["education"] <= 5))
+    assert np.all((18 <= covs["age"]) & (covs["age"] <= 74))
+    assert np.all((0 <= covs["crt"]) & (covs["crt"] <= 3))
+    assert np.all((1 <= covs["number_actions"]) & (covs["number_actions"] <= 11))
+    assert set(covs["female"].tolist()) <= {0.0, 1.0}
+    assert all(np.array_equal(v, np.rint(v)) for name, v in covs.items()
+               if name not in ("risk_aversion", "ambiguity_aversion"))
 
 
 def test_covariate_means_roughly_on_target():
-    covs = synth_covariates(10_000, seed=13)
-    assert np.mean([c.age for c in covs]) == pytest.approx(43.84, abs=0.6)
-    assert np.mean([c.education for c in covs]) == pytest.approx(2.95, abs=0.1)
-    assert np.mean([c.crt for c in covs]) == pytest.approx(1.59, abs=0.1)
-    assert np.mean([c.female for c in covs]) == pytest.approx(0.52, abs=0.02)
-
-
-def test_synth_covariates_deterministic():
-    assert synth_covariates(50, seed=3) == synth_covariates(50, seed=3)
-
-
-def test_synth_covariates_validates_n():
-    with pytest.raises(ValueError):
-        synth_covariates(0)
+    covs = covariates(10_000, seed=13)
+    assert covs["age"].mean() == pytest.approx(43.84, abs=0.6)
+    assert covs["education"].mean() == pytest.approx(2.95, abs=0.1)
+    assert covs["crt"].mean() == pytest.approx(1.59, abs=0.1)
+    assert covs["female"].mean() == pytest.approx(0.52, abs=0.02)
 
 
 # --- beliefs ---------------------------------------------------------------------
@@ -135,26 +177,33 @@ def test_belief_risk_aversion_gradient():
 
 def test_gen_belief_noise_free_equals_index():
     cov = make_cov(education=3, altruism=2, gravity=8, number_actions=5, crt=2)
-    assert gen_belief(cov, "RR", rng=0, noise_sd=0.0) == pytest.approx(belief_index(cov))
+    noise = subject_column(0, 1, "belief_noise")
+    assert gen_belief(cov, noise, noise_sd=0.0) == pytest.approx(belief_index(cov))
 
 
 def test_gen_belief_clamped():
-    rng = np.random.default_rng(0)
-    high = make_cov(altruism=3, gravity=10)
-    values = [gen_belief(high, "AA", rng, noise_sd=15.0) for _ in range(200)]
-    assert all(0.0 <= v <= 20.0 for v in values)
-    assert max(values) == 20.0  # clamp actually binds with huge noise
+    high = make_cov(200, altruism=3, gravity=10)
+    values = gen_belief(high, subject_column(0, 200, "belief_noise"), noise_sd=15.0)
+    assert np.all((0.0 <= values) & (values <= 20.0))
+    assert values.max() == 20.0  # clamp actually binds with huge noise
 
 
 def test_no_treatment_shift_in_beliefs():
-    cov = make_cov(education=2)
-    values = {arm: gen_belief(cov, arm, rng=1, noise_sd=0.0) for arm in ARMS}
-    assert len(set(values.values())) == 1
+    # Beliefs are rebuilt bit for bit from covariates and noise alone, and an
+    # injected contribution effect leaves them unchanged.
+    data = simulate(SimConfig(n_subjects=200), seed=1)
+    order = data.numeric("subject_id").astype(int)
+    cov = {name: data.numeric(name) for name in COVARIATES}
+    noise = subject_column(1, 200, "belief_noise")[order]
+    assert gen_belief(cov, noise).tobytes() == data.numeric("belief").tobytes()
+    shifted = simulate(SimConfig(n_subjects=200, arm_effects=(("AA", 1.0),)), seed=1)
+    assert shifted.numeric("belief").tobytes() == data.numeric("belief").tobytes()
 
 
 @given(belief=st.floats(0, 20))
 def test_pivotal_window(belief):
-    assert is_pivotal(belief) == (5.0 <= belief < 9.0)
+    assert bool(is_pivotal(belief)) == (5.0 <= belief < 9.0)
+    assert is_pivotal(np.array([belief])).tolist() == [5.0 <= belief < 9.0]
 
 
 # --- contributions ---------------------------------------------------------------
@@ -166,51 +215,69 @@ def test_contribution_index_frozen_example():
 
 
 def test_round_to_grid_half_goes_down():
-    assert round_to_grid(2.5) == E(2)
-    assert round_to_grid(2.51) == E(3)
-    assert round_to_grid(2.49) == E(2)
-    assert round_to_grid(-1.0) == E(0)
-    assert round_to_grid(9.0) == E(5)
+    assert round_to_grid([2.5, 2.51, 2.49, -1.0, 9.0]).tolist() == [200, 300, 200, 0, 500]
     fine = GameSpec(grid_step=Money(50))
-    assert round_to_grid(2.25, fine) == Money(200)
-    assert round_to_grid(2.30, fine) == Money(250)
+    assert round_to_grid([2.25, 2.30], fine).tolist() == [200, 250]
 
 
 def test_fixed_rule_is_constant():
     rule = BehavioralRule(kind="altruist-fixed", fixed_contribution=E(2))
-    cov = make_cov()
-    assert gen_contribution(cov, "RR", 10.0, rule, rng=0) == E(2)
-    assert gen_contribution(cov, "AA", 3.0, rule, rng=99) == E(2)
+    assert contribute(make_cov(2), ["RR", "AA"], [10.0, 3.0], rule).tolist() == [200, 200]
 
 
 def test_best_responder_completes_the_low_threshold():
     # risk-neutral subject who expects 4 from others tops the pot up to 5
     rule = BehavioralRule(kind="belief-best-responder")
-    cov = make_cov(risk_aversion=0.0)
-    assert gen_contribution(cov, "RR", 4.0, rule, rng=0) == E(1)
+    assert contribute(make_cov(risk_aversion=0.0), ["RR"], [4.0], rule).tolist() == [100]
 
 
 def test_best_responder_free_rides_when_belief_high():
     rule = BehavioralRule(kind="belief-best-responder")
-    cov = make_cov(risk_aversion=0.0)
-    assert gen_contribution(cov, "RR", 10.0, rule, rng=0) == E(0)
+    assert contribute(make_cov(risk_aversion=0.0), ["RR"], [10.0], rule).tolist() == [0]
+
+
+def _scalar_best_response(risk, belief, curve, game):
+    """The per-subject loop the payoff array replaced: the lowest contribution
+    within 1e-12 of the best payoff."""
+    rho = max(1.0 - risk, 0.05)
+    values = []
+    for c in game.contribution_grid():
+        total = min(c.euros + belief, curve.domain_max.euros)
+        values.append(((game.endowment - c).euros ** rho
+                       * float(curve.value_at_euros(total)), c.cents))
+    best = max(v for v, _ in values)
+    return next(c for v, c in values if v >= best - 1e-12)
+
+
+@pytest.mark.parametrize("step", ["1.00", "0.50"])
+def test_best_responder_matches_the_scalar_rule(step):
+    game = GameSpec(grid_step=Money.parse(step))
+    cov = covariates(400, seed=6)
+    belief = gen_belief(cov, subject_column(6, 400, "belief_noise"))
+    belief[:8] = [0.0, 4.0, 5.0, 9.5, 10.0, 15.0, 20.0, 4.999]  # step edges
+    treatment = np.array(ARMS * 100)
+    rule = BehavioralRule(kind="belief-best-responder")
+    got = contribute(cov, treatment, belief, rule, game).tolist()
+    want = [_scalar_best_response(r, b, _arm_curve(t, 1.0, game), game)
+            for r, b, t in zip(cov["risk_aversion"].tolist(), belief.tolist(),
+                               treatment.tolist())]
+    assert got == want
+    assert len(set(got)) > 1
 
 
 def test_equilibrium_selector_targets_arm_equilibria():
     rule_max = BehavioralRule(kind="equilibrium-selector", equilibrium_pick="max")
     rule_min = BehavioralRule(kind="equilibrium-selector", equilibrium_pick="min")
-    cov = make_cov()
-    assert gen_contribution(cov, "AA", 8.0, rule_max, rng=0) == E(2)
-    assert gen_contribution(cov, "RR", 8.0, rule_max, rng=0) == E(2)
-    assert gen_contribution(cov, "RR", 8.0, rule_min, rng=0) == E(0)
-    assert gen_contribution(cov, "AR", 8.0, rule_min, rng=0) == E(1)
+    cov, belief = make_cov(2), [8.0, 8.0]
+    assert contribute(cov, ["AA", "RR"], belief, rule_max).tolist() == [200, 200]
+    assert contribute(cov, ["RR", "AR"], belief, rule_min).tolist() == [0, 100]
 
 
 def test_paper_rule_noise_free_rounds_index():
     rule = BehavioralRule(noise=False)
     cov = make_cov(age=30, crt=1, risk_aversion=0.0)
-    expected = round_to_grid(contribution_index(cov, 9.0))
-    assert gen_contribution(cov, "RR", 9.0, rule, rng=0) == expected
+    expected = round_to_grid(contribution_index(cov, np.array([9.0])))
+    assert contribute(cov, ["RR"], [9.0], rule).tolist() == expected.tolist()
 
 
 def test_rule_validation():
@@ -241,122 +308,155 @@ def test_success_probability_optimistic():
     assert success_probability(make_scenario("RA"), E(5), "optimistic") == Fraction(9, 10)
 
 
+def groups_of(contributions, treatment="RR", n_groups=1):
+    """Columns of ``n_groups`` groups of five with the given contributions (euros)."""
+    n = 5 * n_groups
+    return (np.full(n, treatment), np.arange(n) // 5,
+            np.tile(np.array(contributions) * 100, n_groups))
+
+
 def test_draw_threshold_policies():
-    rng = np.random.default_rng(0)
-    aa = make_scenario("AA")
-    assert draw_threshold(aa, "pessimistic", rng) == E(10)
-    assert draw_threshold(aa, "optimistic", rng) == E(5)
-    rr = make_scenario("RR")
-    draws = {draw_threshold(rr, "pessimistic", rng).cents for _ in range(50)}
-    assert draws == {500, 1000}  # risk arm ignores the policy
-
-
-def base_records(contributions, treatment="RR"):
-    return [
-        SubjectRecord(subject_id=i, treatment=treatment, group_id=i // 5,
-                      covariates=make_cov(), belief_others_total=8.0,
-                      perception_accuracy=50.0, pivotal=0,
-                      contribution=E(c))
-        for i, c in enumerate(contributions)
-    ]
+    aa = groups_of([1, 1, 1, 1, 1], "AA", n_groups=50)
+    assert set(realize_payoffs(*aa, "pessimistic")["threshold_drawn"].tolist()) == {1000}
+    assert set(realize_payoffs(*aa, "optimistic")["threshold_drawn"].tolist()) == {500}
+    rr = groups_of([1, 1, 1, 1, 1], "RR", n_groups=50)
+    drawn = realize_payoffs(*rr, "pessimistic")["threshold_drawn"]
+    assert set(drawn.tolist()) == {500, 1000}  # risk arm ignores the policy
 
 
 def test_realize_payoffs_sets_totals_and_earnings():
-    records = realize_payoffs(base_records([2, 2, 2, 2, 2]), make_scenario("RR"), seed=4)
-    assert all(r.group_total == E(10) for r in records)
-    assert all(r.threshold_drawn in (E(5), E(10)) for r in records)
-    for r in records:
-        assert r.earnings == (E(3) if r.success else E(0))
+    treatment, group_id, contribution = groups_of([2, 2, 2, 2, 2])
+    out = realize_payoffs(treatment, group_id, contribution, seed=4)
+    assert out["group_total"].tolist() == [1000] * 5
+    assert set(out["threshold_drawn"].tolist()) <= {500, 1000}
+    assert out["earnings"].tolist() == [300 * int(s) for s in out["success"].tolist()]
 
 
 def test_realize_payoffs_pessimistic_always_fails_below_high_threshold():
-    records = base_records([1, 2, 2, 2, 2], treatment="AA")
     for seed in range(10):
-        out = realize_payoffs(records, make_scenario("AA"), "pessimistic", seed=seed)
-        assert all(r.success == 0 and r.earnings == E(0) for r in out)
+        out = realize_payoffs(*groups_of([1, 2, 2, 2, 2], "AA"), "pessimistic", seed=seed)
+        assert out["success"].tolist() == [0] * 5 and out["earnings"].tolist() == [0] * 5
 
 
 def test_realize_payoffs_deterministic():
-    records = base_records([1, 2, 3, 4, 5])
-    a = realize_payoffs(records, make_scenario("AR"), seed=12)
-    b = realize_payoffs(records, make_scenario("AR"), seed=12)
-    assert a == b
+    columns = groups_of([1, 2, 3, 4, 5], "AR", n_groups=20)
+    a = realize_payoffs(*columns, seed=12)
+    b = realize_payoffs(*columns, seed=12)
+    assert all(np.array_equal(a[name], b[name]) for name in a)
+
+
+def test_realized_success_rate_matches_success_probability():
+    # Each count of successes among n groups at a fixed total is
+    # Binomial(n, success_probability).  The two-sided bar is the exact
+    # binomial quantile pair at a 1% family-wise false-alarm rate, split over
+    # every (arm, policy, total) cell.
+    n, totals = 4000, (0, 5, 7, 10, 12)
+    cells = [(arm, policy, t) for arm in TREATMENTS for policy in RESOLUTION_POLICIES
+             for t in totals]
+    tail = 0.01 / len(cells) / 2
+    for arm, policy, t in cells:
+        out = realize_payoffs(np.full(n, arm), np.arange(n), np.full(n, t * 100), policy,
+                              seed=21)
+        p = float(success_probability(make_scenario(arm), E(t), policy))
+        lo, hi = stats.binom.ppf(tail, n, p), stats.binom.isf(tail, n, p)
+        assert lo <= out["success"].sum() <= hi, (arm, policy, t, p, out["success"].sum())
 
 
 # --- pipeline ----------------------------------------------------------------------
 
+ADAPTER_CONFIGS = {
+    "null": SimConfig(n_subjects=200),
+    "arm_effect": SimConfig(n_subjects=200, arm_effects=(("AA", 0.5),)),
+    "best_responder": SimConfig(n_subjects=200,
+                                rule=BehavioralRule(kind="belief-best-responder")),
+    "pessimistic": SimConfig(n_subjects=200, resolution_policy="pessimistic"),
+    "equilibrium_selector": SimConfig(n_subjects=200,
+                                      rule=BehavioralRule(kind="equilibrium-selector")),
+    "altruist": SimConfig(n_subjects=200, rule=BehavioralRule(kind="altruist-fixed")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTER_CONFIGS))
+def test_record_adapters_reproduce_simulate_bit_for_bit(name):
+    config = ADAPTER_CONFIGS[name]
+    columns = simulate(config, 8).columns
+    records = run_experiment(config, 8)
+    assert all(isinstance(r.contribution, Money) and isinstance(r.earnings, Money)
+               for r in records)
+    again = records_to_dataset(records).columns
+    assert list(again) == list(columns)
+    for column, values in columns.items():
+        assert values.dtype == again[column].dtype, column
+        assert values.tobytes() == again[column].tobytes(), column
+
+
 def test_minimal_run_single_group():
-    config = SimConfig(n_subjects=5, arms=("RR",))
-    records = run_experiment(config, seed=2)
-    assert len(records) == 5
-    assert len({r.group_id for r in records}) == 1
-    assert all(r.treatment == "RR" for r in records)
+    data = simulate(SimConfig(n_subjects=5, arms=("RR",)), seed=2)
+    assert len(data) == 5
+    assert set(data.numeric("group_id").tolist()) == {0.0}
+    assert set(data.strings("treatment").tolist()) == {"RR"}
 
 
 def test_groups_match_the_game_size():
     config = SimConfig(n_subjects=120, game=GameSpec(n_players=3))
     assert config.group_size == 3
-    groups = {}
-    for r in run_experiment(config, seed=4):
-        groups.setdefault(r.group_id, []).append(r)
-    assert len(groups) == 40
-    assert all(len(members) == 3 for members in groups.values())
-    assert all(len({m.treatment for m in members}) == 1 for members in groups.values())
+    data = simulate(config, seed=4)
+    group_id = data.numeric("group_id").astype(int)
+    assert np.bincount(group_id).tolist() == [3] * 40
+    arms = data.strings("treatment")
+    assert all(len(set(arms[group_id == g].tolist())) == 1 for g in range(40))
 
 
 def test_beliefs_stay_within_what_the_others_can_give():
     # Two others with endowment 5 can give at most 10 between them.
     game = GameSpec(n_players=3)
-    beliefs = [r.belief_others_total
-               for r in run_experiment(SimConfig(n_subjects=120, game=game), seed=4)]
-    assert max(beliefs) == 10.0  # the clamp binds in this run
-    assert all(0.0 <= b <= 10.0 for b in beliefs)
+    beliefs = simulate(SimConfig(n_subjects=120, game=game), seed=4).numeric("belief")
+    assert beliefs.max() == 10.0  # the clamp binds in this run
+    assert np.all((0.0 <= beliefs) & (beliefs <= 10.0))
     cov = make_cov(altruism=3, gravity=10)
-    assert gen_belief(cov, "RR", rng=0, noise_sd=0.0, game=game) == 10.0
+    assert gen_belief(cov, np.zeros(1), noise_sd=0.0, game=game).tolist() == [10.0]
 
 
 def test_run_experiment_deterministic_csv():
     config = SimConfig(n_subjects=100)
-    a = records_to_dataset(run_experiment(config, seed=5)).to_csv_text("h")
-    b = records_to_dataset(run_experiment(config, seed=5)).to_csv_text("h")
-    assert a == b
-    c = records_to_dataset(run_experiment(config, seed=6)).to_csv_text("h")
-    assert a != c
+    a = simulate(config, seed=5).to_csv_text("h")
+    assert a == simulate(config, seed=5).to_csv_text("h")
+    assert a != simulate(config, seed=6).to_csv_text("h")
+    assert run_experiment(config, seed=5) == run_experiment(config, seed=5)
 
 
 def test_dataset_schema_order():
-    records = run_experiment(SimConfig(n_subjects=20), seed=1)
-    dataset = records_to_dataset(records)
+    dataset = simulate(SimConfig(n_subjects=20), seed=1)
     assert tuple(dataset.columns) == CSV_COLUMNS
     header = dataset.to_csv_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
 
 
 def test_pivotal_flag_consistent_on_emitted_rows():
-    records = run_experiment(SimConfig(n_subjects=200), seed=8)
-    for r in records:
-        assert r.pivotal == int(5.0 <= r.belief_others_total < 9.0)
+    data = simulate(SimConfig(n_subjects=200), seed=8)
+    belief = data.numeric("belief")
+    assert data.numeric("pivotal").tolist() == ((5.0 <= belief) & (belief < 9.0)).tolist()
 
 
 def test_group_totals_consistent():
-    records = run_experiment(SimConfig(n_subjects=200), seed=9)
-    groups = {}
-    for r in records:
-        groups.setdefault(r.group_id, []).append(r)
-    for members in groups.values():
-        total = sum((m.contribution for m in members), Money(0))
-        assert all(m.group_total == total for m in members)
-        assert len({m.success for m in members}) == 1
+    data = simulate(SimConfig(n_subjects=200), seed=9)
+    group_id = data.numeric("group_id").astype(int)
+    cents = {name: np.rint(data.numeric(name) * 100).astype(int)
+             for name in ("contribution", "group_total")}
+    success = data.numeric("success")
+    for g in range(group_id.max() + 1):
+        members = group_id == g
+        assert set(cents["group_total"][members].tolist()) == \
+            {int(cents["contribution"][members].sum())}
+        assert len(set(success[members].tolist())) == 1
 
 
 def test_injected_arm_effect_shifts_means():
-    base = run_experiment(SimConfig(n_subjects=1500), seed=3)
-    shifted = run_experiment(
-        SimConfig(n_subjects=1500, arm_effects=(("AA", 1.0),)), seed=3)
+    base = simulate(SimConfig(n_subjects=1500), seed=3)
+    shifted = simulate(SimConfig(n_subjects=1500, arm_effects=(("AA", 1.0),)), seed=3)
 
-    def arm_mean(records, arm):
-        values = [r.contribution.euros for r in records if r.treatment == arm]
-        return sum(values) / len(values)
+    def arm_mean(data, arm):
+        return data.numeric("contribution")[data.strings("treatment") == arm].mean()
 
     assert arm_mean(shifted, "AA") - arm_mean(base, "AA") > 0.5
     assert abs(arm_mean(shifted, "RR") - arm_mean(base, "RR")) < 1e-9
