@@ -256,9 +256,10 @@ def cmd_power(args, config) -> int:
     alpha_level = float(_opt(args, config, "alpha-level", 0.05))
     power_target = float(_opt(args, config, "power", 0.80))
     replications = int(_opt(args, config, "mc", 0))
+    seed = _opt(args, config, "seed", None)
     n_per_arm = n // arms
     report = mde(arms, n_per_arm, sd, alpha_level, power_target,
-                 mc_replications=replications, seed=int(args.seed or 0))
+                 mc_replications=replications, seed=int(seed or 0))
     print(report.render())
     out = _resolve_out(args.out)
     if out:
@@ -269,7 +270,7 @@ def cmd_power(args, config) -> int:
                  "mde": report.mde,
                  "mc_rejection_rate": ("" if report.mc_rejection_rate is None
                                         else report.mc_rejection_rate)}]
-        _write_rows_csv(out, rows, _header(payload, seed=args.seed))
+        _write_rows_csv(out, rows, _header(payload, seed=seed))
         print(f"wrote {out}")
     return 0
 

@@ -10,9 +10,7 @@ column outside the schema that is not all numbers stays text.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -94,31 +92,22 @@ class Dataset:
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            self._write(fh, header_comment)
-
-    def to_csv_text(self, header_comment: str | None = None) -> str:
-        buf = io.StringIO()
-        self._write(buf, header_comment)
-        return buf.getvalue()
-
-    def _write(self, fh, header_comment: str | None) -> None:
-        fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(self.columns)
-        for i in range(0, len(self), 1024):  # in blocks, so a big file never holds all its cells
-            writer.writerows(zip(*(_cells(n, c[i:i + 1024]) for n, c in self.columns.items())))
+            fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(self.columns)
+            for i in range(0, len(self), 1024):  # in blocks: a big file never holds all its cells
+                writer.writerows(zip(*(_cells(n, c[i:i + 1024])
+                                       for n, c in self.columns.items())))
 
     @classmethod
-    def read_csv(cls, path, column_map: Mapping[str, str] | None = None) -> Dataset:
-        """Load a CSV; ``column_map`` renames file columns to schema names."""
+    def read_csv(cls, path) -> Dataset:
+        """Load a CSV whose header names the columns."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
             header = next(reader, None)
             rows = list(reader)
         if header is None:
             raise ValueError(f"{path}: empty CSV")
-        if column_map:
-            header = [column_map.get(h, h) for h in header]
         if len(set(header)) != len(header):
             raise ValueError(f"{path}: duplicate column names in {header}")
         if bad := {len(row) for row in rows} - {len(header)}:

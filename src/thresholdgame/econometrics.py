@@ -3,7 +3,8 @@ treatment-effect and interaction models, power/MDE calculations.
 
 Conventions fixed for the whole package: robust covariance is HC1 (sandwich
 with n/(n-k) correction), p-values use the large-sample normal reference, and
-missing values are dropped listwise.
+missing values are dropped listwise.  scipy is imported by the functions
+that need it, so importing this module (and the CLI) does not load it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .game import ARMS, DEFAULT_GAME
@@ -39,10 +39,6 @@ class DesignMatrix:
     @property
     def n_obs(self) -> int:
         return len(self.y)
-
-    @property
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.X))
 
 
 #: Every contrast is against this arm.
@@ -104,7 +100,6 @@ class RegressionResult:
     covariance: np.ndarray = field(repr=False, default=None)
     columns: list[str] = field(default_factory=list)
     response: str = ""
-    covariance_type: str = "HC1"
 
     def coef(self, name: str) -> float:
         return self.coefficients[name]
@@ -112,12 +107,8 @@ class RegressionResult:
     def se(self, name: str) -> float:
         return self.robust_se[name]
 
-    def zstat(self, name: str) -> float:
-        s = self.robust_se[name]
-        return self.coefficients[name] / s if s > 0 else math.inf
-
     def summary(self) -> str:
-        lines = [f"OLS of {self.response}; robust ({self.covariance_type}) errors; "
+        lines = [f"OLS of {self.response}; robust (HC1) errors; "
                  f"n={self.n_obs}, R2={self.r_squared:.3f}"]
         width = max(len(c) for c in self.columns)
         for c in self.columns:
@@ -149,6 +140,8 @@ def ols_hc1(design: DesignMatrix) -> RegressionResult:
     Raises RankDeficientError listing the dependent columns when X does not
     have full column rank after deletion.
     """
+    from scipy import stats
+
     X, y = design.X, design.y
     n, k = X.shape
     if n <= k:
@@ -208,11 +201,6 @@ class BalanceTable:
     baseline_means: dict[str, float]
     p_values: dict[tuple[str, str], float]   # (covariate, arm) -> p
 
-    def bonferroni_survivors(self, alpha: float = 0.05) -> list[tuple[str, str]]:
-        """Cells still significant after correcting for all comparisons made."""
-        cut = alpha / len(self.p_values)
-        return sorted(cell for cell, p in self.p_values.items() if p < cut)
-
     def render(self) -> str:
         head = ["", f"Mean_{self.baseline}"] + [f"p({a}-{self.baseline})" for a in self.arms]
         rows = [head]
@@ -238,6 +226,8 @@ class BalanceTable:
 
 def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
     """Baseline means and Welch-test p-values for each arm against the baseline."""
+    from scipy import stats
+
     arms = data.strings("treatment")
     others = _comparison_arms(arms)
     if not others:
@@ -363,6 +353,8 @@ def mde(
     by Monte-Carlo rejection at that effect size."""
     if min(arms, n_per_arm) < 1 or sd <= 0 or not 0 < alpha_level < 1 or not 0 < power_target < 1:
         raise ValueError("all power inputs must be positive and levels in (0,1)")
+    from scipy import stats
+
     z_alpha = stats.norm.ppf(1 - alpha_level / 2)
     z_power = stats.norm.ppf(power_target)
     effect = (z_alpha + z_power) * sd * math.sqrt(2.0 / n_per_arm)

@@ -23,10 +23,10 @@ optimist; intermediate alphas are a convex blend of the two.
 from __future__ import annotations
 
 import bisect
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .money import Money
 
@@ -87,10 +87,6 @@ class ProbInterval:
         p = as_prob(p)
         return cls(p, p)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 @dataclass(frozen=True)
 class ThresholdSpec:
@@ -116,10 +112,6 @@ class ThresholdSpec:
                 raise ValueError("one probability per support point required")
             if sum(probs) != 1:
                 raise ValueError(f"threshold probabilities sum to {sum(probs)}, not 1")
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return self.distribution is None
 
     def met_probability_bounds(self, total: Money) -> tuple[Fraction, Fraction]:
         """Min and max of P(threshold <= total) over admissible distributions."""
@@ -236,25 +228,23 @@ class SuccessCurve:
         if not 0 <= total.cents <= self.domain_max.cents:
             raise ValueError(
                 f"total {total} outside curve domain [0, {self.domain_max}]")
-        return self._step(total.cents)
+        return self.breakpoints[bisect.bisect_right(self._cents, total.cents) - 1][1]
 
     def canonical_totals(self) -> set[Money]:
         """Totals at which a symmetric equilibrium is possible: 0, the
         candidate totals and the breakpoints."""
         return {Money(0)} | set(self.candidate_totals) | {c for c, _ in self.breakpoints}
 
-    def value_at_euros(self, total: float) -> Fraction:
-        """Step lookup for a real-valued total (beliefs need not sit on the grid)."""
-        if not 0 <= total <= self.domain_max.euros:
-            raise ValueError(
-                f"total {total} outside curve domain [0, {self.domain_max.euros}]")
+    def value_at_euros(self, totals: np.ndarray) -> np.ndarray:
+        """Float step values at real-valued totals (beliefs need not sit on the
+        grid), elementwise."""
+        totals = np.asarray(totals, dtype=float)
+        if ((totals < 0) | (totals > self.domain_max.euros)).any():
+            raise ValueError(f"totals outside curve domain [0, {self.domain_max.euros}]")
         # The 1e-9 absorbs binary error (2.55 * 100 == 254.99...) without
         # rounding up a total that is truly below a cent boundary.
-        return self._step(math.floor(total * 100 + 1e-9))
-
-    def _step(self, cents: int) -> Fraction:
-        """The one step lookup behind both ``value_at`` forms."""
-        return self.breakpoints[bisect.bisect_right(self._cents, cents) - 1][1]
+        at = np.searchsorted(self._cents, np.floor(totals * 100 + 1e-9), side="right") - 1
+        return np.array([float(p) for _, p in self.breakpoints])[at]
 
 
 def build_success_curve(
@@ -284,39 +274,3 @@ def build_success_curve(
         points.append((c, p))
     return SuccessCurve(tuple(points), game.max_total, scenario.label, float(a),
                         tuple(candidates))
-
-
-# --- JSON wire format -------------------------------------------------------
-
-def scenario_to_json(scenario: AmbiguityScenario) -> str:
-    thresholds = []
-    for i, t in enumerate(scenario.threshold.support):
-        entry: dict = {"value": str(t)}
-        if scenario.threshold.distribution is not None:
-            entry["prob"] = prob_to_str(scenario.threshold.distribution[i])
-        thresholds.append(entry)
-    doc = {
-        "label": scenario.label,
-        "thresholds": thresholds,
-        "ambiguous_threshold": scenario.threshold.is_ambiguous,
-        "p_met": [prob_to_str(scenario.p_success_if_met.lo),
-                  prob_to_str(scenario.p_success_if_met.hi)],
-        "p_unmet": [prob_to_str(scenario.p_success_if_unmet.lo),
-                    prob_to_str(scenario.p_success_if_unmet.hi)],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def scenario_from_json(text: str) -> AmbiguityScenario:
-    doc = json.loads(text)
-    support = tuple(Money.parse(e["value"]) for e in doc["thresholds"])
-    if doc["ambiguous_threshold"]:
-        dist = None
-    else:
-        dist = tuple(Fraction(e["prob"]) for e in doc["thresholds"])
-    return AmbiguityScenario(
-        label=doc["label"],
-        threshold=ThresholdSpec(support, dist),
-        p_success_if_met=ProbInterval(Fraction(doc["p_met"][0]), Fraction(doc["p_met"][1])),
-        p_success_if_unmet=ProbInterval(Fraction(doc["p_unmet"][0]), Fraction(doc["p_unmet"][1])),
-    )

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d{1,2}))?$")
 
@@ -40,10 +39,6 @@ class Money:
     def euros(self) -> float:
         return self.cents / 100.0
 
-    def as_fraction(self) -> Fraction:
-        """Amount in euros as an exact rational."""
-        return Fraction(self.cents, 100)
-
     def __add__(self, other: Money) -> Money:
         return Money(self.cents + other.cents)
 
@@ -57,14 +52,8 @@ class Money:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> Money:
-        return Money(-self.cents)
-
     def __floordiv__(self, step: Money) -> int:
         return self.cents // step.cents
-
-    def __mod__(self, step: Money) -> Money:
-        return Money(self.cents % step.cents)
 
     def is_multiple_of(self, step: Money) -> bool:
         return step.cents > 0 and self.cents % step.cents == 0
@@ -79,6 +68,3 @@ class Money:
         if self.cents % 100 == 0:
             return str(self.cents // 100)
         return str(self)
-
-
-ZERO = Money(0)

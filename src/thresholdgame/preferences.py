@@ -1,8 +1,9 @@
-"""Utility families, the player objective, and symmetric-equilibrium conditions.
+"""Utility families and symmetric-equilibrium conditions.
 
 A player keeping ``x`` euros after contributing gets utility ``u(x)`` with
 ``u(0) = 0`` and ``u`` strictly increasing; the objective at own contribution
-``c_i`` and others' total ``C_-i`` is ``u(endowment - c_i) * p(c_i + C_-i)``.
+``c_i`` and others' total ``C_-i`` is ``u(endowment - c_i) * p(c_i + C_-i)``,
+which ``solver.PayoffTable`` tabulates over the grid.
 
 The condition governing a symmetric equilibrium at a canonical total reduces,
 for the built-in scenarios, to a single inequality ``u(5) < k * u(m)`` with an
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .game import DEFAULT_GAME, GameSpec, SuccessCurve, build_success_curve, make_scenario
+from .game import DEFAULT_GAME, GameSpec, SuccessCurve
 from .money import Money
 
 #: Payoff comparisons treat |difference| <= TIE_TOL as a tie (double rounding
@@ -85,21 +86,6 @@ def utility_from_json(doc: dict) -> UtilityFn:
     raise ValueError(f"unknown utility family: {family!r}")
 
 
-def eval_objective(
-    u: UtilityFn,
-    c_i: Money,
-    others_total: Money,
-    curve: SuccessCurve,
-    endowment: Money = DEFAULT_GAME.endowment,
-) -> float:
-    """u(endowment - c_i) * p(c_i + others_total)."""
-    if not Money(0) <= c_i <= endowment:
-        raise ValueError(f"contribution {c_i} outside [0, {endowment}]")
-    if others_total < Money(0):
-        raise ValueError("others' total cannot be negative")
-    return u((endowment - c_i).euros) * float(curve.value_at(c_i + others_total))
-
-
 @dataclass(frozen=True)
 class EqCondition:
     """The inequality u(lhs_point) < factor * u(rhs_point) with exact rational factor."""
@@ -127,14 +113,6 @@ NEVER_EQUILIBRIUM = "never"
 UNREDUCED = "unreduced"
 
 ConditionResult = Union[EqCondition, str]
-
-
-def check_condition(cond: EqCondition, u: UtilityFn) -> bool:
-    """True iff u(lhs) < k * u(rhs) holds strictly (ties are not strict)."""
-    lhs = u(cond.lhs_point.euros)
-    rhs = float(cond.factor) * u(cond.rhs_point.euros)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return lhs < rhs - TIE_TOL * scale
 
 
 def power_threshold(cond: EqCondition) -> float:
@@ -213,18 +191,3 @@ def condition_from_curve(
             "equilibrium condition does not reduce to a single inequality")
     q, m_dev = maximal[0]
     return EqCondition(lhs_point=m_dev, factor=p_stay / q, rhs_point=m_stay)
-
-
-def condition_for(
-    label: str,
-    alpha: float,
-    target_total: Money,
-    game: GameSpec = DEFAULT_GAME,
-) -> ConditionResult:
-    """Equilibrium condition for a built-in treatment at a canonical total.
-
-    alpha=1 is the pessimist benchmark and alpha=0 the optimist one; other
-    alphas use the blended curve.
-    """
-    curve = build_success_curve(make_scenario(label), alpha, game)
-    return condition_from_curve(curve, target_total, game)

@@ -163,8 +163,6 @@ class SimConfig:
     game: GameSpec = DEFAULT_GAME
     rule: BehavioralRule = BehavioralRule()
     resolution_policy: str = "uniform"
-    belief_noise_sd: float = BELIEF_NOISE_SD
-    remainder_policy: str = "error"
     #: Injected average treatment effects, e.g. (("AA", 0.5),).
     arm_effects: tuple[tuple[str, float], ...] = ()
     #: Arm-specific total slopes on risk aversion replacing the flat one.
@@ -181,6 +179,10 @@ class SimConfig:
         unknown = [a for a in self.arms if a not in TREATMENTS]
         if unknown:
             raise ValueError(f"unknown arms: {unknown}")
+        for name in ("arm_effects", "risk_slope_by_arm"):
+            absent = [a for a, _ in getattr(self, name) or () if a not in self.arms]
+            if absent:
+                raise ValueError(f"{name} gives arms that are not run: {absent}")
 
     @property
     def group_size(self) -> int:
@@ -221,26 +223,20 @@ def randomize(
     arms: tuple[str, ...] = ARMS,
     seed: int = 0,
     group_size: int = 5,
-    remainder_policy: str = "error",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equal-probability arm assignment as (subject_id, treatment, group_id)
-    columns sorted by subject; within an arm, consecutive blocks of
-    ``group_size`` form groups.  Deterministic under ``seed``.
-
-    ``remainder_policy='drop'`` silently leaves out subjects that do not fill
-    a complete group; the default rejects such configurations.
+    columns sorted by subject: a seeded shuffle lines the subjects up, the
+    arms take equal consecutive runs of the line, and consecutive blocks of
+    ``group_size`` form groups.  Every subject must fill a complete group.
     """
-    block = len(arms) * group_size
-    if n_subjects % block and remainder_policy != "drop":
+    if n_subjects % (len(arms) * group_size):
         raise ValueError(
             f"{n_subjects} subjects do not split into groups of {group_size} "
-            f"across {len(arms)} arms; use remainder_policy='drop' or adjust n")
-    per_arm = (n_subjects // block) * group_size
+            f"across {len(arms)} arms; adjust n")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    kept = rng.permutation(n_subjects)[:per_arm * len(arms)]
-    by_subject = np.argsort(kept)
-    return (kept[by_subject], np.repeat(np.array(arms), per_arm)[by_subject],
-            (np.arange(kept.size) // group_size)[by_subject])
+    place = np.argsort(rng.permutation(n_subjects))  # each subject's place in line
+    return (np.arange(n_subjects), np.repeat(np.array(arms), n_subjects // len(arms))[place],
+            place // group_size)
 
 
 # --- covariates --------------------------------------------------------------
@@ -279,15 +275,13 @@ def belief_index(cov: Mapping[str, np.ndarray]):
 
 
 def gen_belief(
-    cov: Mapping[str, np.ndarray],
-    noise: np.ndarray,
-    noise_sd: float = BELIEF_NOISE_SD,
-    game: GameSpec = DEFAULT_GAME,
+    cov: Mapping[str, np.ndarray], noise: np.ndarray, game: GameSpec = DEFAULT_GAME
 ) -> np.ndarray:
-    """Beliefs in [0, what the others can give]: the index plus ``noise_sd``
-    times the standard normals ``noise``.  No treatment enters."""
+    """Beliefs in [0, what the others can give]: the index plus
+    ``BELIEF_NOISE_SD`` times the standard normals ``noise``.  No treatment
+    enters."""
     cap = (game.endowment * (game.n_players - 1)).euros
-    return np.clip(belief_index(cov) + noise_sd * noise, 0.0, cap)
+    return np.clip(belief_index(cov) + BELIEF_NOISE_SD * noise, 0.0, cap)
 
 
 def is_pivotal(belief):
@@ -338,10 +332,7 @@ def _best_responses(
     kept = ((game.endowment.cents - grid) / 100.0).tolist()
     u = np.array([[x ** rho for x in kept] for rho in np.maximum(1.0 - risk, 0.05).tolist()])
     total = np.minimum(grid / 100.0 + belief[:, None], curve.domain_max.euros)
-    # The step lookup of SuccessCurve.value_at_euros, over the whole array.
-    steps = [c.cents for c, _ in curve.breakpoints]
-    at = np.searchsorted(steps, np.floor(total * 100 + 1e-9), side="right") - 1
-    payoff = u * np.array([float(p) for _, p in curve.breakpoints])[at]
+    payoff = u * curve.value_at_euros(total)
     return grid[np.argmax(payoff >= payoff.max(axis=1, keepdims=True) - TIE_TOL, axis=1)]
 
 
@@ -486,12 +477,12 @@ def _index_shift(config: SimConfig, treatment: np.ndarray, risk: np.ndarray,
 def simulate(config: SimConfig, seed: int) -> Dataset:
     """The experiment's columns; deterministic per (config, seed)."""
     subject_id, treatment, group_id = randomize(
-        config.n_subjects, config.arms, seed, config.group_size, config.remainder_policy)
+        config.n_subjects, config.arms, seed, config.group_size)
     u = draws(seed, "subject", 0, config.n_subjects)[subject_id]
     z = normals(u)
     col = SUBJECT_ROW.index
     cov = draw_covariates(z, u)
-    belief = gen_belief(cov, z[:, col("belief_noise")], config.belief_noise_sd, config.game)
+    belief = gen_belief(cov, z[:, col("belief_noise")], config.game)
     accuracy = 100.0 * u[:, col("perception_accuracy")]
     pivotal = is_pivotal(belief).astype(float)
     shift = _index_shift(config, treatment, cov["risk_aversion"], pivotal, accuracy)

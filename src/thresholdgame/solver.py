@@ -50,20 +50,8 @@ class Profile:
     contributions: tuple[Money, ...]
 
     @property
-    def total(self) -> Money:
-        return Money(sum(c.cents for c in self.contributions))
-
-    @property
     def is_symmetric(self) -> bool:
         return len(set(self.contributions)) == 1
-
-    def validate(self, game: GameSpec) -> None:
-        if len(self.contributions) != game.n_players:
-            raise ValueError(
-                f"profile has {len(self.contributions)} entries for {game.n_players} players")
-        for c in self.contributions:
-            if not game.on_grid(c):
-                raise ValueError(f"contribution {c} off the grid")
 
 
 @dataclass(frozen=True)
@@ -134,46 +122,6 @@ def _curve_values(curve: SuccessCurve, game: GameSpec) -> np.ndarray:
                        for t in range(game.max_total // game.grid_step + 1)])
     values.flags.writeable = False
     return values
-
-
-def best_deviation(
-    profile: Profile,
-    player: int,
-    curve: SuccessCurve,
-    u: UtilityFn,
-    game: GameSpec = DEFAULT_GAME,
-) -> tuple[Money, float]:
-    """Payoff-maximizing contribution for ``player`` holding others fixed.
-
-    Returns (best contribution, gain over the current payoff); staying put is
-    preferred when it ties the maximum, so gain 0 means no profitable move.
-    """
-    profile.validate(game)
-    table = PayoffTable(curve, u, game)
-    si = (profile.total - profile.contributions[player]) // game.grid_step
-    current_gi = profile.contributions[player] // game.grid_step
-    column = table.payoff[:, si].tolist()
-    current = column[current_gi]
-    best_gi, best_val = current_gi, current
-    for gi, value in enumerate(column):
-        if value > best_val + TIE_TOL:
-            best_gi, best_val = gi, value
-    if best_gi == current_gi:
-        return profile.contributions[player], 0.0
-    return table.grid[best_gi], best_val - current
-
-
-def classify_profile(
-    profile: Profile,
-    curve: SuccessCurve,
-    u: UtilityFn,
-    game: GameSpec = DEFAULT_GAME,
-) -> EquilibriumRecord | None:
-    """EquilibriumRecord if the profile is Nash, else None."""
-    profile.validate(game)
-    table = PayoffTable(curve, u, game)
-    gis = [c // game.grid_step for c in profile.contributions]
-    return _classify(table, gis, curve, _canonical_indices(curve, game))
 
 
 def _canonical_indices(curve: SuccessCurve, game: GameSpec) -> set[int]:
@@ -301,17 +249,13 @@ class EquilibriumTable:
 
 
 def equilibrium_table(
-    u: UtilityFn,
-    alpha: float,
-    game: GameSpec = DEFAULT_GAME,
-    treatments: Sequence[str] = TABLE_TREATMENTS,
+    u: UtilityFn, alpha: float, game: GameSpec = DEFAULT_GAME
 ) -> EquilibriumTable:
     """Paper-mode equilibrium totals per treatment for one utility function."""
-    return _paper_table([u], alpha, game, treatments)
+    return _paper_table([u], alpha, game)
 
 
 def robust_table(
-    treatments: Sequence[str] = TABLE_TREATMENTS,
     alpha: float = 1.0,
     rho_range: tuple[float, float] = (0.2, 10.0),
     samples: int = 100,
@@ -332,17 +276,18 @@ def robust_table(
     else:
         ratio = hi / lo
         rhos = [lo * ratio ** (i / (samples - 1)) for i in range(samples)]
-    return _paper_table([PowerUtility(rho) for rho in rhos], alpha, game, treatments)
+    return _paper_table([PowerUtility(rho) for rho in rhos], alpha, game)
 
 
 def _paper_table(
-    utilities: Sequence[UtilityFn], alpha: float, game: GameSpec, treatments: Sequence[str]
+    utilities: Sequence[UtilityFn], alpha: float, game: GameSpec
 ) -> EquilibriumTable:
     """Cells whose symmetric profile survives paper mode under every utility."""
-    curves = [build_success_curve(make_scenario(label), alpha, game) for label in treatments]
+    curves = [build_success_curve(make_scenario(label), alpha, game)
+              for label in TABLE_TREATMENTS]
     totals = set().union(*(curve.canonical_totals() for curve in curves))
     arms = [(label, curve, _canonical_indices(curve, game))
-            for label, curve in zip(treatments, curves)]
+            for label, curve in zip(TABLE_TREATMENTS, curves)]
     n = game.n_players
     cells: set[tuple[str, Money]] | None = None
     for u in utilities:
@@ -354,7 +299,7 @@ def _paper_table(
                 if verdict is not None and not verdict[2]:
                     step_cells.add((label, game.grid_step * (g * n)))
         cells = step_cells if cells is None else cells & step_cells
-    return EquilibriumTable(tuple(sorted(totals)), tuple(treatments), frozenset(cells or set()))
+    return EquilibriumTable(tuple(sorted(totals)), TABLE_TREATMENTS, frozenset(cells or set()))
 
 
 @dataclass(frozen=True)
@@ -381,12 +326,6 @@ class HypothesisReport:
     h1_supported: bool
     h2_supported: bool
     h3_polarization: bool
-
-    def summary_for(self, label: str) -> TreatmentSummary:
-        for s in self.summaries:
-            if s.label == label:
-                return s
-        raise KeyError(label)
 
     def render(self) -> str:
         lines = [f"Equilibrium comparison at pessimism weight alpha={self.alpha:g}"]

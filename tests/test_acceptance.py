@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import check_condition
 
 from thresholdgame.cli import main as cli_main
 from thresholdgame.data import Dataset
@@ -25,7 +26,6 @@ from thresholdgame.money import Money
 from thresholdgame.preferences import (
     EqCondition,
     PowerUtility,
-    check_condition,
     power_threshold,
 )
 from thresholdgame.simulator import SimConfig, simulate
@@ -186,7 +186,7 @@ def test_criterion_6_null_result_property():
             if abs(ate.coef(arm)) <= 2.0 * ate.se(arm):
                 within[arm] += 1
         model = contribution_model(data, include_beliefs=False)
-        if model.coef("risk_aversion") < 0 and abs(model.zstat("risk_aversion")) > 1.96:
+        if model.coef("risk_aversion") / model.se("risk_aversion") < -1.96:
             risk_significant += 1
     assert risk_significant >= 90, f"risk aversion significant in {risk_significant}/100"
     # Under no effect each count is Binomial(n_seeds, P(|Z| <= 2)); alpha is

@@ -182,6 +182,16 @@ def test_power_with_mc(capsys):
     assert "Monte-Carlo rejection" in out
 
 
+def test_power_seed_from_config_equals_seed_flag(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5, "mc": 200}))
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert run(["power", "--config", str(config), "--out", str(from_config)], capsys)[0] == 0
+    assert run(["power", "--seed", "5", "--mc", "200", "--out", str(from_flag)], capsys)[0] == 0
+    assert "# seed=5" in from_flag.read_text().splitlines()
+    assert from_config.read_bytes() == from_flag.read_bytes()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"alpha": 0.0, "rho-min": 0.5}))

@@ -14,8 +14,6 @@ from thresholdgame.game import (
     build_success_curve,
     make_scenario,
     prob_to_str,
-    scenario_from_json,
-    scenario_to_json,
 )
 from thresholdgame.money import Money
 
@@ -50,17 +48,17 @@ def test_make_scenario_canonical_parameters():
     assert rr.p_success_if_unmet == ProbInterval.point(F(1, 10))
 
     aa = make_scenario("AA")
-    assert aa.threshold.is_ambiguous
+    assert aa.threshold.distribution is None
     assert aa.p_success_if_met == ProbInterval(F(4, 5), F(1))
     assert aa.p_success_if_unmet == ProbInterval(F(0), F(1, 5))
 
     ar = make_scenario("AR")
-    assert not ar.threshold.is_ambiguous
+    assert ar.threshold.distribution == (F(1, 2), F(1, 2))
     assert ar.p_success_if_met == ProbInterval(F(4, 5), F(1))
 
     ra = make_scenario("RA")
-    assert ra.threshold.is_ambiguous
-    assert ra.p_success_if_met.is_point
+    assert ra.threshold.distribution is None
+    assert ra.p_success_if_met == ProbInterval.point(F(9, 10))
 
 
 def test_make_scenario_rejects_unknown_label():
@@ -102,10 +100,13 @@ def test_eval_curve_fine_grid_below_breakpoint():
 def test_value_at_euros_absorbs_binary_error_only():
     # 2.55 * 100 == 254.99999999999997 in binary floating point.
     odd = SuccessCurve(((Money(0), F(1, 10)), (Money(255), F(9, 10))), E(25))
-    assert odd.value_at_euros(2.55) == odd.value_at(Money(255)) == F(9, 10)
+    assert odd.value_at(Money(255)) == F(9, 10)
+    assert odd.value_at_euros([2.55, 2.549]).tolist() == [0.9, 0.1]
     rr = build_success_curve(make_scenario("RR"), 1.0)
-    assert rr.value_at_euros(4.996) == F(1, 10)  # not rounded up to the 5 threshold
-    assert rr.value_at_euros(5.0) == F(1, 2)
+    # 4.996 is not rounded up to the 5 threshold
+    assert rr.value_at_euros([[4.996, 5.0], [0.0, 25.0]]).tolist() == [[0.1, 0.5], [0.1, 0.9]]
+    with pytest.raises(ValueError):
+        rr.value_at_euros([5.0, 25.01])
 
 
 def test_eval_curve_rejects_out_of_domain():
@@ -166,17 +167,6 @@ def test_success_curve_validation():
         SuccessCurve(((E(1), F(1, 2)),), E(25))  # must start at 0
     with pytest.raises(ValueError):
         SuccessCurve(((E(0), F(1, 2)), (E(5), F(1, 4))), E(25))  # decreasing
-
-
-@pytest.mark.parametrize("label", TREATMENTS)
-def test_scenario_json_roundtrip(label):
-    scenario = make_scenario(label)
-    assert scenario_from_json(scenario_to_json(scenario)) == scenario
-
-
-def test_scenario_json_uses_decimal_strings():
-    doc = scenario_to_json(make_scenario("AR"))
-    assert '"0.8"' in doc and '"0.2"' in doc and '"0.5"' in doc
 
 
 def test_prob_to_str_exactness():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,8 +32,6 @@ def test_arithmetic():
     assert a - b == Money.from_euros(3)
     assert 3 * b == Money.from_euros(6)
     assert a // Money.from_euros(1) == 5
-    assert Money(250) % Money(100) == Money(50)
-    assert a.as_fraction() == Fraction(5)
     assert a.euros == 5.0
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import check_condition
 
-from thresholdgame.game import build_success_curve, make_scenario
+from thresholdgame.game import DEFAULT_GAME, build_success_curve, make_scenario
 from thresholdgame.money import Money
 from thresholdgame.preferences import (
     EqCondition,
@@ -12,12 +13,11 @@ from thresholdgame.preferences import (
     NEVER_EQUILIBRIUM,
     PowerUtility,
     TableUtility,
-    check_condition,
-    condition_for,
-    eval_objective,
+    condition_from_curve,
     power_threshold,
     utility_from_json,
 )
+from thresholdgame.solver import PayoffTable
 
 E = Money.from_euros
 F = Fraction
@@ -25,6 +25,11 @@ F = Fraction
 
 def curve(label, alpha=1.0):
     return build_success_curve(make_scenario(label), alpha)
+
+
+def objective(u, label):
+    """u(5 - c) * p(c + others) at [own euros, others' euros] on the default grid."""
+    return PayoffTable(curve(label), u, DEFAULT_GAME).payoff
 
 
 # --- utilities ----------------------------------------------------------------
@@ -69,20 +74,22 @@ def test_utility_from_json():
 
 def test_objective_examples():
     rn = PowerUtility(1.0)
-    assert eval_objective(rn, E(1), E(4), curve("RR")) == pytest.approx(2.0)
-    assert eval_objective(rn, E(2), E(8), curve("AR")) == pytest.approx(2.4)
-    assert eval_objective(PowerUtility(3), E(5), E(10), curve("RR")) == 0.0
+    assert objective(rn, "RR")[1, 4] == pytest.approx(2.0)
+    assert objective(rn, "AR")[2, 8] == pytest.approx(2.4)
+    assert objective(PowerUtility(3), "RR")[5, 10] == 0.0
 
 
 def test_objective_rejects_overcontribution():
+    # One row per contribution on the grid, none above the endowment; keeping
+    # a negative amount has no utility.
+    assert objective(PowerUtility(1.0), "RR").shape == (6, 21)
     with pytest.raises(ValueError):
-        eval_objective(PowerUtility(1.0), E(6), E(0), curve("RR"))
+        PowerUtility(1.0)((E(5) - E(6)).euros)
 
 
 def test_objective_decreasing_on_flat_step():
-    rn = PowerUtility(1.0)
     # others at 10 keeps every own contribution on the top step of RR
-    values = [eval_objective(rn, E(c), E(10), curve("RR")) for c in range(6)]
+    values = objective(PowerUtility(1.0), "RR")[:, 10].tolist()
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -122,19 +129,19 @@ OPTIMIST_CONDITIONS = {
                                                 key=lambda kv: kv[0]))
 def test_pessimist_conditions(key, expected):
     label, total = key
-    assert condition_for(label, 1.0, E(total)) == expected
+    assert condition_from_curve(curve(label, 1.0), E(total)) == expected
 
 
 @pytest.mark.parametrize("key,expected", sorted(OPTIMIST_CONDITIONS.items(),
                                                 key=lambda kv: kv[0]))
 def test_optimist_conditions(key, expected):
     label, total = key
-    assert condition_for(label, 0.0, E(total)) == expected
+    assert condition_from_curve(curve(label, 0.0), E(total)) == expected
 
 
 def test_condition_rejects_non_canonical_total():
     with pytest.raises(ValueError):
-        condition_for("RR", 1.0, E(3))
+        condition_from_curve(curve("RR"), E(3))
 
 
 def test_eq_condition_validation():
@@ -205,15 +212,15 @@ def test_condition_holds_iff_below_threshold(rho):
 
 
 def test_mid_total_condition_weaker_when_threshold_ambiguous():
-    rr = condition_for("RR", 1.0, E(10))
-    ra = condition_for("RA", 1.0, E(10))
+    rr = condition_from_curve(curve("RR", 1.0), E(10))
+    ra = condition_from_curve(curve("RA", 1.0), E(10))
     assert power_threshold(ra) > power_threshold(rr)
 
 
 def test_high_total_condition_weaker_when_loss_ambiguous():
-    rr = condition_for("RR", 1.0, E(10))
-    ar = condition_for("AR", 1.0, E(10))
+    rr = condition_from_curve(curve("RR", 1.0), E(10))
+    ar = condition_from_curve(curve("AR", 1.0), E(10))
     assert ar.factor == F(2) and rr.factor == F(9, 5)
     assert power_threshold(ar) > power_threshold(rr)
-    assert condition_for("AR", 1.0, E(5)) == HOLDS_FOR_ANY_U
-    assert isinstance(condition_for("RR", 1.0, E(5)), EqCondition)
+    assert condition_from_curve(curve("AR", 1.0), E(5)) == HOLDS_FOR_ANY_U
+    assert isinstance(condition_from_curve(curve("RR", 1.0), E(5)), EqCondition)

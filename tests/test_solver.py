@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import brute_force, check_condition, classify_profile
 
 import thresholdgame
 from thresholdgame import solver
@@ -25,14 +26,12 @@ from thresholdgame.preferences import (
     UNREDUCED,
     PowerUtility,
     TableUtility,
-    check_condition,
+    TIE_TOL,
 )
 from thresholdgame.solver import (
     TABLE_TREATMENTS,
     EnumerationCapExceeded,
     Profile,
-    best_deviation,
-    classify_profile,
     enumerate_all_profiles,
     enumerate_symmetric,
     equilibrium_table,
@@ -58,34 +57,33 @@ def totals(records):
     return [r.total for r in records]
 
 
-def brute_force(c, u, game=DEFAULT_GAME):
-    """Test oracle: every grid profile, classified one at a time by the path
-    behind classify_profile, in enumeration order.  The payoff table and the
-    canonical totals are built once per game, not once per profile."""
-    table = solver.PayoffTable(c, u, game)
-    canonical = solver._canonical_indices(c, game)
-    profiles = itertools.product(range(len(table.grid)), repeat=game.n_players)
-    records = (solver._classify(table, gis, c, canonical) for gis in profiles)
-    return sorted((r for r in records if r is not None),
-                  key=lambda r: (r.total, r.profile.contributions))
+def summaries(report):
+    return {s.label: s for s in report.summaries}
 
 
 # --- best deviation -------------------------------------------------------------
 
+def payoff_column(label, others_euros):
+    """One player's risk-neutral payoff at each own contribution 0..5 euros
+    while the other four give ``others_euros`` in total."""
+    return solver.PayoffTable(curve(label), RN, DEFAULT_GAME).payoff[:, others_euros].tolist()
+
+
 def test_staying_is_best_in_baseline_mid_equilibrium():
-    c_star, gain = best_deviation(symmetric(1), 0, curve("RR"), RN)
-    assert c_star == E(1) and gain == 0.0
+    column = payoff_column("RR", 4)  # the others give 1 each; staying at 1 hits 5
+    assert column.index(max(column)) == 1
+    assert all(v < column[1] - TIE_TOL for i, v in enumerate(column) if i != 1)
 
 
 def test_threshold_ambiguity_kills_mid_total():
-    c_star, gain = best_deviation(symmetric(1), 0, curve("RA"), RN)
-    assert c_star == E(0)
-    assert gain == pytest.approx(0.1)
+    column = payoff_column("RA", 4)
+    assert column.index(max(column)) == 0
+    assert column[0] - column[1] == pytest.approx(0.1)
 
 
 def test_full_contribution_corner_is_dominated():
-    c_star, gain = best_deviation(symmetric(5), 0, curve("RR"), RN)
-    assert c_star < E(5) and gain > 0
+    column = payoff_column("RR", 20)
+    assert column.index(max(column)) < 5 and max(column) > column[5]
 
 
 # --- classification --------------------------------------------------------------
@@ -359,23 +357,15 @@ def test_classification_invariant_to_utility_scale(scale):
                     b.paper_filter_excluded)
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        classify_profile(Profile((E(1),) * 4), curve("RR"), RN)
-    with pytest.raises(ValueError):
-        classify_profile(Profile((Money(50),) * 5), curve("RR"), RN)
-
-
 # --- hypothesis report -----------------------------------------------------------
 
 def test_report_orderings_under_pessimism():
     report = hypothesis_report(1.0)
     assert report.h1_supported and report.h2_supported and report.h3_polarization
-    aa = report.summary_for("AA")
-    assert aa.robust_totals == (E(10),)
-    ar = report.summary_for("AR")
-    assert ar.robust_totals == (E(5),)
-    rr = report.summary_for("RR")
+    by_label = summaries(report)
+    assert by_label["AA"].robust_totals == (E(10),)
+    assert by_label["AR"].robust_totals == (E(5),)
+    rr = by_label["RR"]
     assert dict(rr.rho_thresholds)[E(10)] == pytest.approx(1.1507, abs=2e-3)
 
 
@@ -384,7 +374,7 @@ def test_report_orderings_reverse_under_optimism():
     assert not report.h1_supported
     assert not report.h2_supported
     for label in ("RR", "RA", "AR", "AA"):
-        assert report.summary_for(label).robust_totals == (E(0),)
+        assert summaries(report)[label].robust_totals == (E(0),)
 
 
 def test_robust_totals_match_sweep():
@@ -397,8 +387,7 @@ def test_robust_totals_match_sweep():
 def test_report_at_intermediate_pessimism():
     # a half-and-half blend keeps the report machinery fully defined
     report = hypothesis_report(0.5)
-    aa = report.summary_for("AA")
-    conditions = dict(aa.conditions)
+    conditions = dict(summaries(report)["AA"].conditions)
     assert conditions[E(0)] == HOLDS_FOR_ANY_U
     cond10 = conditions[E(10)]
     assert isinstance(cond10, EqCondition) and cond10.factor == F(9, 5)
@@ -420,11 +409,13 @@ def test_table_columns_are_the_theory_order():
 
 def test_solver_import_leaves_out_the_analysis_stack():
     # The top level re-exports nothing, so the theory layers load without
-    # scipy and without the econometrics module.
+    # scipy and without the econometrics module; the CLI loads econometrics,
+    # which imports scipy only inside the functions that use it.
     src = str(Path(thresholdgame.__file__).resolve().parent.parent)
-    code = ("import sys, thresholdgame.solver; "
-            "print([m for m in ('scipy', 'thresholdgame.econometrics') if m in sys.modules])")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    for module, absent in (("thresholdgame.solver", ("scipy", "thresholdgame.econometrics")),
+                           ("thresholdgame.cli", ("scipy",))):
+        code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", module
