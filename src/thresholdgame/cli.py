@@ -257,6 +257,8 @@ def cmd_power(args, config) -> int:
     power_target = float(_opt(args, config, "power", 0.80))
     replications = int(_opt(args, config, "mc", 0))
     seed = _opt(args, config, "seed", None)
+    if arms < 1 or n % arms:
+        raise ValueError(f"power needs n divisible by arms >= 1; got n={n}, arms={arms}")
     n_per_arm = n // arms
     report = mde(arms, n_per_arm, sd, alpha_level, power_target,
                  mc_replications=replications, seed=int(seed or 0))

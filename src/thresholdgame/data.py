@@ -45,6 +45,8 @@ def _column(name: str, values) -> np.ndarray:
                 raise ValueError(f"column {name!r}: {exc}") from None
     if col is None:
         col = np.array(values, dtype=str)
+    elif np.isinf(col).any():
+        raise ValueError(f"column {name!r}: infinite values")
     col.flags.writeable = False
     return col
 

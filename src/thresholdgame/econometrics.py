@@ -3,13 +3,13 @@ treatment-effect and interaction models, power/MDE calculations.
 
 Conventions fixed for the whole package: robust covariance is HC1 (sandwich
 with n/(n-k) correction), p-values use the large-sample normal reference, and
-missing values are dropped listwise.  scipy is imported by the functions
-that need it, so importing this module (and the CLI) does not load it.
+missing values are dropped listwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -135,40 +135,34 @@ def _stars(p: float) -> str:
 
 
 def ols_hc1(design: DesignMatrix) -> RegressionResult:
-    """Least squares via QR with the HC1 sandwich covariance.
-
-    Raises RankDeficientError listing the dependent columns when X does not
-    have full column rank after deletion.
-    """
-    from scipy import stats
-
+    """Least squares via QR with the HC1 sandwich covariance; raises
+    RankDeficientError naming each column in the span of the columns before it."""
     X, y = design.X, design.y
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more observations ({n}) than regressors ({k})")
-    q, r, piv = _qr_with_rank_check(X, design.columns)
+    q, r = np.linalg.qr(X)
+    diag = np.abs(np.diag(r))
+    bad = [name for name, d in zip(design.columns, diag)
+           if d <= diag.max() * max(n, k) * np.finfo(float).eps]
+    if bad:
+        raise RankDeficientError(bad)
     beta = np.linalg.solve(r, q.T @ y)
-    # undo the column pivoting
-    beta_full = np.empty(k)
-    beta_full[piv] = beta
-    resid = y - X @ beta_full
+    resid = y - X @ beta
     rinv = np.linalg.inv(r)
-    bread_p = rinv @ rinv.T  # (X'X)^-1 in pivoted order
-    bread = np.empty((k, k))
-    bread[np.ix_(piv, piv)] = bread_p
+    bread = rinv @ rinv.T  # (X'X)^-1
     meat = (X * (resid ** 2)[:, None]).T @ X
     cov = bread @ meat @ bread * (n / (n - k))
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    z = beta_full / np.where(se > 0, se, 1.0)
     # se of exactly 0 happens only on noiseless fits: p is then 0 or 1.
-    pvals = np.where(se > 0, 2.0 * stats.norm.sf(np.abs(z)),
-                     np.where(np.abs(beta_full) > 0, 0.0, 1.0))
+    pvals = [math.erfc(abs(b / s) / math.sqrt(2)) if s > 0 else float(b == 0)
+             for b, s in zip(beta.tolist(), se.tolist())]
     tss = float(((y - y.mean()) ** 2).sum())
     rss = float((resid ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     names = design.columns
     return RegressionResult(
-        coefficients=dict(zip(names, beta_full)),
+        coefficients=dict(zip(names, beta)),
         robust_se=dict(zip(names, se)),
         p_values=dict(zip(names, pvals)),
         r_squared=r2,
@@ -177,18 +171,6 @@ def ols_hc1(design: DesignMatrix) -> RegressionResult:
         columns=list(names),
         response=design.response,
     )
-
-
-def _qr_with_rank_check(X: np.ndarray, names: Sequence[str]):
-    from scipy.linalg import qr
-
-    q, r, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    bad = [names[piv[i]] for i in range(len(diag)) if diag[i] <= tol]
-    if bad:
-        raise RankDeficientError(bad)
-    return q, r, piv
 
 
 # --- balance ------------------------------------------------------------------
@@ -226,8 +208,6 @@ class BalanceTable:
 
 def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
     """Baseline means and Welch-test p-values for each arm against the baseline."""
-    from scipy import stats
-
     arms = data.strings("treatment")
     others = _comparison_arms(arms)
     if not others:
@@ -244,12 +224,37 @@ def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
             other_vals = values[(arms == a) & ~np.isnan(values)]
             if other_vals.size == 0:
                 raise ValueError(f"arm {a!r} has no data for {cov!r}")
-            if np.var(base_vals) == 0 and np.var(other_vals) == 0:
-                p = 1.0 if base_vals.mean() == other_vals.mean() else 0.0
-            else:
-                p = float(stats.ttest_ind(base_vals, other_vals, equal_var=False).pvalue)
-            pvals[(cov, a)] = p
+            pvals[(cov, a)] = _welch_p(base_vals, other_vals)
     return BalanceTable(BASELINE, tuple(others), tuple(covariates), means, pvals)
+
+
+def _welch_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided Welch t-test p-value, I_x(df/2, 1/2) at x = df / (df + t^2): 1 or 0
+    for constant samples with equal or unequal means, nan for a one-value sample."""
+    if np.var(a) == 0 and np.var(b) == 0:
+        return 1.0 if a.mean() == b.mean() else 0.0
+    if min(a.size, b.size) < 2:
+        return math.nan
+    va, vb = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+    t2 = float((a.mean() - b.mean()) ** 2 / (va + vb))
+    df = float((va + vb) ** 2 / (va ** 2 / (a.size - 1) + vb ** 2 / (b.size - 1)))
+    return _incomplete_beta(df / 2, 0.5, df / (df + t2), t2 / (df + t2)) if t2 else 1.0
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), y = 1 - x, by its continued fraction."""
+    if x > (a + 1) / (a + b + 2):
+        return 1.0 - _incomplete_beta(b, a, y, x)
+    c, d, h = 1.0, 0.0, 1.0  # modified Lentz: h -> 1 + d_1 / (1 + d_2 / (1 + ...))
+    for m in range(1000):
+        for num in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+                    (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):
+            d, c = 1.0 / (1.0 + num * d), 1.0 + num / c
+            h *= d * c
+        if d * c == 1.0:
+            return math.exp(a * math.log(x) + b * math.log(y) + math.lgamma(a + b)
+                            - math.lgamma(a) - math.lgamma(b)) / (a * h)
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 # --- treatment effect models ---------------------------------------------------
@@ -353,10 +358,8 @@ def mde(
     by Monte-Carlo rejection at that effect size."""
     if min(arms, n_per_arm) < 1 or sd <= 0 or not 0 < alpha_level < 1 or not 0 < power_target < 1:
         raise ValueError("all power inputs must be positive and levels in (0,1)")
-    from scipy import stats
-
-    z_alpha = stats.norm.ppf(1 - alpha_level / 2)
-    z_power = stats.norm.ppf(power_target)
+    z_alpha = NormalDist().inv_cdf(1 - alpha_level / 2)
+    z_power = NormalDist().inv_cdf(power_target)
     effect = (z_alpha + z_power) * sd * math.sqrt(2.0 / n_per_arm)
     rate = None
     if mc_replications > 0:

@@ -151,7 +151,7 @@ def condition_from_curve(
 
     p_stay = curve.value_at(target_total)
     m_stay = game.endowment - c_each
-    if p_stay == 0:
+    if p_stay == 0 or m_stay == Money(0):
         # Stay payoff is identically zero; every deviation at least ties.
         return NEVER_EQUILIBRIUM
 

@@ -171,8 +171,6 @@ class SimConfig:
     pivotal_effects: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ValueError(f"need at least one subject, got {self.n_subjects}")
         if self.resolution_policy not in RESOLUTION_POLICIES:
             raise ValueError(
                 f"resolution policy {self.resolution_policy!r} not in {RESOLUTION_POLICIES}")
@@ -183,6 +181,7 @@ class SimConfig:
             absent = [a for a, _ in getattr(self, name) or () if a not in self.arms]
             if absent:
                 raise ValueError(f"{name} gives arms that are not run: {absent}")
+        _check_groups(self.n_subjects, len(self.arms), self.group_size)
 
     @property
     def group_size(self) -> int:
@@ -229,14 +228,17 @@ def randomize(
     arms take equal consecutive runs of the line, and consecutive blocks of
     ``group_size`` form groups.  Every subject must fill a complete group.
     """
-    if n_subjects % (len(arms) * group_size):
-        raise ValueError(
-            f"{n_subjects} subjects do not split into groups of {group_size} "
-            f"across {len(arms)} arms; adjust n")
+    _check_groups(n_subjects, len(arms), group_size)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     place = np.argsort(rng.permutation(n_subjects))  # each subject's place in line
     return (np.arange(n_subjects), np.repeat(np.array(arms), n_subjects // len(arms))[place],
             place // group_size)
+
+
+def _check_groups(n_subjects: int, n_arms: int, group_size: int) -> None:
+    if n_subjects < 1 or not n_arms or n_subjects % (n_arms * group_size):
+        raise ValueError(f"{n_subjects} subjects do not split into groups of {group_size} "
+                         f"across {n_arms} arms; adjust n")
 
 
 # --- covariates --------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Slow, direct references that the package's fast paths are tested against."""
 import itertools
 
+import numpy as np
+from scipy import stats
+from scipy.linalg import qr
+
 from thresholdgame import solver
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.preferences import TIE_TOL
@@ -32,3 +36,20 @@ def brute_force(curve, u, game=DEFAULT_GAME):
     records = (solver._classify(table, gis, curve, canonical) for gis in profiles)
     return sorted((r for r in records if r is not None),
                   key=lambda r: (r.total, r.profile.contributions))
+
+
+def ols_hc1_pivoted(design):
+    """(coefficients, HC1 SEs, p-values) from scipy's column-pivoted QR and
+    normal tail, the way the package computed them before it dropped scipy."""
+    X, y = design.X, design.y
+    n, k = X.shape
+    q, r, piv = qr(X, mode="economic", pivoting=True)
+    beta = np.empty(k)
+    beta[piv] = np.linalg.solve(r, q.T @ y)
+    resid = y - X @ beta
+    rinv = np.linalg.inv(r)
+    bread = np.empty((k, k))
+    bread[np.ix_(piv, piv)] = rinv @ rinv.T
+    meat = (X * (resid ** 2)[:, None]).T @ X
+    se = np.sqrt(np.diag(bread @ meat @ bread * (n / (n - k))))
+    return beta, se, 2.0 * stats.norm.sf(np.abs(beta / se))

@@ -175,6 +175,13 @@ def test_power_command(capsys):
     assert "0.2844" in out
 
 
+@pytest.mark.parametrize("arms, n", [("4", "1501"), ("0", "1500")])
+def test_power_rejects_n_that_arms_do_not_split(capsys, arms, n):
+    assert main(["power", "--arms", arms, "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert f"n={n}" in err and f"arms={arms}" in err
+
+
 def test_power_with_mc(capsys):
     code, out = run(["power", "--arms", "2", "--n", "750", "--sd", "1.39",
                      "--mc", "2000", "--seed", "1"], capsys)

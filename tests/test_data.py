@@ -107,6 +107,15 @@ def test_text_in_a_schema_number_column_is_rejected(tmp_path):
         Dataset.read_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_infinite_number_is_rejected(tmp_path, cell):
+    # The analysis reads a non-finite value as neither data nor missing.
+    path = tmp_path / "overflow.csv"
+    path.write_text(f"treatment,age\nRR,41\nAA,{cell}\n")
+    with pytest.raises(ValueError, match="'age'"):
+        Dataset.read_csv(path)
+
+
 def test_write_refuses_to_round(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match="'contribution'"):

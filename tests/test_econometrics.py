@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import ols_hc1_pivoted
+from scipy import stats
 
+from thresholdgame import econometrics
 from thresholdgame.data import Dataset
 from thresholdgame.econometrics import (
     BALANCE_COVARIATES,
     RankDeficientError,
+    analysis_battery,
     ate_report,
     balance_table,
     beliefs_model,
@@ -111,6 +115,26 @@ def test_rank_deficiency_reports_offenders():
     with pytest.raises(RankDeficientError) as exc:
         ols_hc1(build_design(data, "y", ["x", "x2"]))
     assert set(exc.value.columns) & {"x", "x2", "const"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_battery_models_match_the_pivoted_qr_oracle(monkeypatch, seed):
+    # The oracle's p-values are scipy's normal tail at its own z.
+    fits, fitted = [], econometrics.ols_hc1
+
+    def recording_ols(design):
+        fits.append((design, ols_hc1_pivoted(design)))
+        return fitted(design)
+
+    monkeypatch.setattr(econometrics, "ols_hc1", recording_ols)
+    data = simulate(seed, n_subjects=400)
+    results = [rows for name, rows, _ in analysis_battery(data)
+               if name not in ("balance", "polarization", "histogram")]
+    assert len(results) == len(fits) == 6
+    for rows, (design, (beta, se, p)) in zip(results, fits):
+        assert [r["term"] for r in rows] == design.columns
+        for key, expected in (("coefficient", beta), ("robust_se", se), ("p_value", p)):
+            np.testing.assert_allclose([r[key] for r in rows], expected, rtol=1e-10, atol=0)
 
 
 def test_listwise_deletion():
@@ -216,6 +240,43 @@ def test_injected_age_shift_detection_rate():
     rate = detected / len(seeds)
     assert 0.17 <= rate <= 0.47
     assert rate > 0.10  # clearly above the null rejection rate
+
+
+def welch(a, b):
+    """balance_table's p-value for sample ``b`` (arm AA) against ``a`` (RR)."""
+    data = Dataset({"x": list(a) + list(b), "treatment": ["RR"] * len(a) + ["AA"] * len(b)})
+    return balance_table(data, ["x"]).p_values[("x", "AA")]
+
+
+def test_welch_p_values_match_scipy():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n_a, n_b = rng.integers(2, 300, size=2)
+        a = rng.normal(0.0, rng.uniform(0.1, 3.0), n_a)
+        b = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0), n_b)
+        if rng.random() < 0.3:
+            a, b = np.round(a), np.round(b)  # ties and small variances
+        expected = stats.ttest_ind(a, b, equal_var=False).pvalue
+        assert welch(a, b) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")  # scipy, on constant arms
+@pytest.mark.parametrize("a, b, expected", [
+    ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], 1.0),        # equal means, one arm constant
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 2.0], 1.0),   # equal means
+    ([1.0, 1.0, 1.0], [2.0, 2.0], 0.0),             # both constant, means differ
+    ([3.0], [2.0, 3.0, 4.0], math.nan),             # one value: no variance
+    ([1.0, 2.0, 3.0, 4.0], [7.0], math.nan),
+])
+def test_welch_edge_cases_match_scipy(a, b, expected):
+    got = welch(a, b)
+    assert got == pytest.approx(expected, nan_ok=True)
+    assert got == pytest.approx(stats.ttest_ind(a, b, equal_var=False).pvalue, nan_ok=True)
+
+
+def test_welch_equal_constant_arms_balance():
+    # scipy's t is 0/0 here; the table reads two equal constants as balanced.
+    assert welch([1.0, 1.0, 1.0], [1.0, 1.0]) == 1.0
 
 
 def test_balance_render_shape():
@@ -338,6 +399,13 @@ def test_mde_closed_form():
     z = 1.9599639845400545 + 0.8416212335729143
     assert report.mde == pytest.approx(z * 1.39 * math.sqrt(2 / 375), abs=1e-12)
     assert report.mde == pytest.approx(0.285, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha_level, power_target", [(0.05, 0.8), (0.01, 0.9), (0.1, 0.5)])
+def test_mde_quantiles_match_scipy(alpha_level, power_target):
+    z = stats.norm.ppf(1 - alpha_level / 2) + stats.norm.ppf(power_target)
+    report = mde(2, 100, 1.0, alpha_level, power_target)
+    assert report.mde == pytest.approx(z * math.sqrt(2 / 100), rel=1e-14)
 
 
 def test_mde_scaling_law():

@@ -118,8 +118,15 @@ def test_randomize_deterministic():
 
 
 def test_randomize_group_size_violation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as randomize_error:
         randomize(23, seed=1)
+    # SimConfig rejects the same count with the same message when it is
+    # built, not later inside simulate.
+    with pytest.raises(ValueError) as config_error:
+        SimConfig(n_subjects=23)
+    assert str(config_error.value) == str(randomize_error.value)
+    with pytest.raises(ValueError):
+        SimConfig(n_subjects=20, arms=())
 
 
 def test_randomize_groups_do_not_straddle_arms():

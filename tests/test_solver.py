@@ -23,6 +23,7 @@ from thresholdgame.money import Money
 from thresholdgame.preferences import (
     EqCondition,
     HOLDS_FOR_ANY_U,
+    NEVER_EQUILIBRIUM,
     UNREDUCED,
     PowerUtility,
     TableUtility,
@@ -394,6 +395,19 @@ def test_report_at_intermediate_pessimism():
     assert report.render()
 
 
+def test_full_endowment_total_is_never_strict():
+    # Where every player gives the whole endowment the stay payoff is
+    # u(0) * p = 0, so no utility makes the total a strict equilibrium.
+    pair = GameSpec(n_players=2)
+    top = enumerate_symmetric(build_success_curve(make_scenario("AA"), 1, pair), RN,
+                              pair, "raw")[-1]
+    assert (top.total, top.kind, top.zero_payoff) == (E(10), "weak", True)
+    assert top.supporting_condition == NEVER_EQUILIBRIUM
+    solo = GameSpec(n_players=1)
+    conditions = dict(summaries(hypothesis_report(1.0, solo))["RR"].conditions)
+    assert conditions[E(5)] == NEVER_EQUILIBRIUM
+
+
 def test_pessimism_never_lowers_robust_totals():
     pessimist = robust_table(alpha=1.0)
     optimist = robust_table(alpha=0.0)
@@ -408,14 +422,17 @@ def test_table_columns_are_the_theory_order():
 
 
 def test_solver_import_leaves_out_the_analysis_stack():
-    # The top level re-exports nothing, so the theory layers load without
-    # scipy and without the econometrics module; the CLI loads econometrics,
-    # which imports scipy only inside the functions that use it.
+    # The theory layers load without the econometrics module, and even the
+    # analysis commands run on numpy and the standard library alone.
     src = str(Path(thresholdgame.__file__).resolve().parent.parent)
-    for module, absent in (("thresholdgame.solver", ("scipy", "thresholdgame.econometrics")),
-                           ("thresholdgame.cli", ("scipy",))):
-        code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+    data = Path(__file__).parent / "golden" / "simulate_n200_seed3.csv"
+    cli = "from thresholdgame.cli import main\nassert main({}) == 0"
+    runs = (("import thresholdgame.solver", ("scipy", "thresholdgame.econometrics")),
+            (cli.format(["analyze", "--data", str(data)]), ("scipy",)),
+            (cli.format(["power", "--mc", "200"]), ("scipy",)))
+    for statement, absent in runs:
+        code = f"import sys\n{statement}\nprint([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]", module
+        assert result.stdout.splitlines()[-1] == "[]", statement
