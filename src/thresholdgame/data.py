@@ -2,10 +2,11 @@
 
 Each column is a read-only numpy array, parsed once when the ``Dataset`` is
 built: ``treatment`` is str, every other column float64 (blanks and ``None``
-are NaN, money is euros).  Text exists only at the file edge, a comma-delimited
-UTF-8 CSV whose leading '#' lines carry run metadata.  There each schema
-column's kind sets its format: int ``%d``, float ``repr``, money ``%.2f``.  A
-column outside the schema that is not all numbers stays text.
+are NaN, money is euros and must be whole cents).  Text exists only at the
+file edge, a comma-delimited UTF-8 CSV whose leading '#' lines carry run
+metadata.  There each schema column's kind sets its format: int ``%d``, float
+``repr``, money ``%.2f``.  A column outside the schema that is not all numbers
+stays text.
 """
 from __future__ import annotations
 
@@ -47,19 +48,28 @@ def _column(name: str, values) -> np.ndarray:
         col = np.array(values, dtype=str)
     elif np.isinf(col).any():
         raise ValueError(f"column {name!r}: infinite values")
+    elif kind == "money":
+        _check_units(name, kind, col)
     col.flags.writeable = False
     return col
 
 
+def _check_units(name: str, kind: str, col: np.ndarray) -> None:
+    scale = _FORMATS[kind][1]
+    off = np.rint(col * scale) / scale != col  # a blank is NaN, never equal: let it pass
+    if not np.isnan(col[off]).all():
+        raise ValueError(f"column {name!r}: {kind} values must be whole units of 1/{scale}")
+
+
 def _cells(name: str, col: np.ndarray) -> list[str]:
-    """The CSV text of one column, formatted by its kind; NaN is a blank cell."""
+    """The CSV text of one column, formatted by its kind; NaN is a blank cell.
+    Money was checked when the column was built; ints are checked here."""
     if col.dtype.kind != "f":
         return col.tolist()
     kind = SCHEMA.get(name, "float")
-    render, scale = _FORMATS[kind]
-    if scale and not np.array_equal(np.rint(col * scale) / scale, col, equal_nan=True):
-        raise ValueError(f"column {name!r}: {kind} values must be whole units of 1/{scale}")
-    return [render(v) if v == v else "" for v in col.tolist()]
+    if kind == "int":
+        _check_units(name, kind, col)
+    return [_FORMATS[kind][0](v) if v == v else "" for v in col.tolist()]
 
 
 @dataclass

@@ -252,9 +252,30 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
             d, c = 1.0 / (1.0 + num * d), 1.0 + num / c
             h *= d * c
         if d * c == 1.0:
-            return math.exp(a * math.log(x) + b * math.log(y) + math.lgamma(a + b)
-                            - math.lgamma(a) - math.lgamma(b)) / (a * h)
+            # The log of whichever of x, y is near 1 comes from log1p of the other:
+            # a large a or b multiplies it.
+            log_x = math.log1p(-y) if y < x else math.log(x)
+            log_y = math.log1p(-x) if x < y else math.log(y)
+            return math.exp(a * log_x + b * log_y - _log_beta(a, b)) / (a * h)
     raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
+
+
+#: B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for
+#: lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  Once the larger argument q reaches 10, Stirling's series
+    gives lgamma(q) - lgamma(p + q) without cancelling two large numbers; its
+    first omitted term is below 2e-18."""
+    p, q = sorted((a, b))
+    if q < 10:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    series = sum(c * (q ** -k - (p + q) ** -k) for k, c in zip(range(1, 16, 2), _STIRLING))
+    return (math.lgamma(p) + series + p - p * math.log(p + q)
+            + (q - 0.5) * math.log1p(-p / (p + q)))
 
 
 # --- treatment effect models ---------------------------------------------------
@@ -407,25 +428,44 @@ def polarization(
     seed: int = 0,
 ) -> PolarizationReport:
     """Contribution variance comparison with a permutation p-value for the log
-    variance ratio; "max" is the default game's endowment."""
+    variance ratio; "max" is the default game's endowment.
+
+    The statistic depends only on how many of each contribution level land in
+    each arm, so each random split is one multivariate hypergeometric draw of
+    arm A's level counts.  Variances are compared in integer cents, so a split
+    that ties the observed statistic counts as a hit."""
     arms = data.strings("treatment")
     values = data.numeric("contribution")
     a, b = values[arms == arm_a], values[arms == arm_b]
     a, b = a[~np.isnan(a)], b[~np.isnan(b)]
-    if a.size < 2 or b.size < 2:
+    n_a, n_b = a.size, b.size
+    if n_a < 2 or n_b < 2:
         raise ValueError("both arms need at least two observations")
     var_a, var_b = float(a.var(ddof=1)), float(b.var(ddof=1))
-    observed = abs(math.log(var_a / var_b)) if var_a > 0 and var_b > 0 else math.inf
-    pooled = np.concatenate([a, b])
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(permutations):
-        perm = rng.permutation(pooled)
-        pa, pb = perm[:a.size], perm[a.size:]
-        va, vb = pa.var(ddof=1), pb.var(ddof=1)
-        stat = abs(math.log(va / vb)) if va > 0 and vb > 0 else math.inf
-        if stat >= observed:
-            hits += 1
+    levels, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    cents = np.rint(levels * 100).astype(np.int64)
+    x = cents - cents[0]  # variances do not move with a shift; the sums stay small
+    if int(x[-1]) ** 2 * inverse.size >= 2 ** 63:
+        raise ValueError("contribution range too wide for exact sums of squared cents")
+    colors = np.bincount(inverse)
+    # "marginals" costs per level and "count" per drawn item; both sample the same law.
+    method = "marginals" if 8 * colors.size < n_a else "count"
+    draws = np.random.default_rng(seed).multivariate_hypergeometric(
+        colors, n_a, size=permutations, method=method)
+    draws = np.vstack([np.bincount(inverse[:n_a], minlength=colors.size), draws])
+    total1, total2 = int(colors @ x), int(colors @ (x * x))
+
+    def spread(s1: int, s2: int) -> tuple[int, int]:
+        """(larger, smaller) of the arms' variances, on one integer scale."""
+        p = (n_a * s2 - s1 * s1) * n_b * (n_b - 1)
+        q = (n_b * (total2 - s2) - (total1 - s1) ** 2) * n_a * (n_a - 1)
+        return max(p, q), min(p, q)
+
+    splits = map(spread, (draws @ x).tolist(), (draws @ (x * x)).tolist())
+    hi0, lo0 = next(splits)  # the observed split
+    if lo0 == 0:
+        hi0 = 1  # observed ratio infinite: only splits with a constant arm reach it
+    hits = sum(hi * lo0 >= hi0 * lo for hi, lo in splits)
     p = (hits + 1) / (permutations + 1)
     grid_max = DEFAULT_GAME.endowment.euros
     return PolarizationReport(

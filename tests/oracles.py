@@ -1,5 +1,7 @@
 """Slow, direct references that the package's fast paths are tested against."""
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -53,3 +55,35 @@ def ols_hc1_pivoted(design):
     meat = (X * (resid ** 2)[:, None]).T @ X
     se = np.sqrt(np.diag(bread @ meat @ bread * (n / (n - k))))
     return beta, se, 2.0 * stats.norm.sf(np.abs(beta / se))
+
+
+def exact_polarization_p(a, b):
+    """P(|log var ratio| of a random split >= the observed one), summed over
+    every count vector of a 2- or 3-level sample with its multivariate
+    hypergeometric weight; statistics compare as Fractions, so ties are exact.
+    A split with a constant arm has an infinite statistic."""
+    a, b = [Fraction(str(v)) for v in a], [Fraction(str(v)) for v in b]
+    levels = sorted(set(a + b))
+    assert 2 <= len(levels) <= 3, "enumeration is for 2 or 3 levels"
+    colors = [(a + b).count(v) for v in levels]
+
+    def variance(counts):
+        n = sum(counts)
+        mean = sum(k * v for k, v in zip(counts, levels)) / n
+        return sum(k * (v - mean) ** 2 for k, v in zip(counts, levels)) / (n - 1)
+
+    def statistic(counts_a):
+        var_a = variance(counts_a)
+        var_b = variance([c - k for c, k in zip(colors, counts_a)])
+        if var_a == 0 or var_b == 0:
+            return math.inf
+        return max(var_a / var_b, var_b / var_a)
+
+    observed = statistic([a.count(v) for v in levels])
+    ranges = [range(min(c, len(a)) + 1) for c in colors[:-1]]
+    tail = 0
+    for head in itertools.product(*ranges):
+        counts = list(head) + [len(a) - sum(head)]
+        if 0 <= counts[-1] <= colors[-1] and statistic(counts) >= observed:
+            tail += math.prod(math.comb(c, k) for c, k in zip(colors, counts))
+    return Fraction(tail, math.comb(len(a) + len(b), len(a)))

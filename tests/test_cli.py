@@ -169,6 +169,14 @@ def test_analyze_missing_file_is_config_error(capsys):
     assert code == 2
 
 
+def test_analyze_money_off_the_cent_grid_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "fractional.csv"
+    data.write_text("treatment,contribution\nRR,2.50\nAA,2.555\n")
+    code, _ = run(["analyze", "--data", str(data), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_power_command(capsys):
     code, out = run(["power", "--arms", "4", "--n", "1500", "--sd", "1.39"], capsys)
     assert code == 0

@@ -116,6 +116,15 @@ def test_infinite_number_is_rejected(tmp_path, cell):
         Dataset.read_csv(path)
 
 
+def test_money_off_the_cent_grid_is_rejected(tmp_path):
+    # Money is whole cents from the moment a Dataset is built; ints still round-trip
+    # through the analysis and are checked when written.
+    path = tmp_path / "fractional.csv"
+    path.write_text("treatment,contribution,age\nRR,2.50,41.5\nAA,2.555,40\n")
+    with pytest.raises(ValueError, match="'contribution'"):
+        Dataset.read_csv(path)
+
+
 def test_write_refuses_to_round(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match="'contribution'"):

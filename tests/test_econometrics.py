@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import ols_hc1_pivoted
+from oracles import exact_polarization_p, ols_hc1_pivoted
 from scipy import stats
 
 from thresholdgame import econometrics
@@ -258,6 +258,12 @@ def test_welch_p_values_match_scipy():
             a, b = np.round(a), np.round(b)  # ties and small variances
         expected = stats.ttest_ind(a, b, equal_var=False).pvalue
         assert welch(a, b) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+    for _ in range(60):  # Welch df 1,000-4,000, as in analyze at n = 6,000
+        n_a, n_b = rng.integers(900, 2000, size=2)
+        a = rng.normal(0.0, rng.uniform(0.5, 2.0), n_a)
+        b = rng.normal(rng.uniform(-0.2, 0.2), rng.uniform(0.5, 2.0), n_b)
+        expected = stats.ttest_ind(a, b, equal_var=False).pvalue
+        assert welch(a, b) == pytest.approx(expected, rel=2e-12)
 
 
 @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")  # scipy, on constant arms
@@ -437,7 +443,7 @@ def test_mde_validates_inputs():
 
 def test_polarization_equal_distributions():
     rng = np.random.default_rng(2)
-    values = rng.normal(2.5, 1.0, size=400).clip(0, 5)
+    values = rng.normal(2.5, 1.0, size=400).clip(0, 5).round(2)  # money is whole cents
     data = Dataset({
         "treatment": ["RR"] * 200 + ["RA"] * 200,
         "contribution": values.tolist(),
@@ -449,7 +455,7 @@ def test_polarization_equal_distributions():
 
 def test_polarization_flags_bimodal_arm():
     rng = np.random.default_rng(3)
-    unimodal = rng.normal(2.5, 0.4, size=300).clip(0, 5)
+    unimodal = rng.normal(2.5, 0.4, size=300).clip(0, 5).round(2)
     bimodal = np.concatenate([np.zeros(150), np.full(150, 5.0)])
     data = Dataset({
         "treatment": ["RR"] * 300 + ["RA"] * 300,
@@ -465,6 +471,41 @@ def test_polarization_flags_bimodal_arm():
 def test_polarization_null_on_default_data():
     report = polarization(simulate(7), "RA", "RR", permutations=299)
     assert report.p_value > 0.05
+
+
+def expand(counts):
+    return [float(v) for v, k in counts for _ in range(k)]
+
+
+#: Tie-heavy splits: (arm a, arm b) as (level, count) pairs, mostly equal arm
+#: sizes, where every split's mirror image ties it.
+TIE_CASES = {
+    "two_levels": (((0, 13), (5, 7)), ((0, 11), (5, 13))),
+    "rare_middle": (((0, 18), (0.5, 1), (5, 1)), ((0, 17), (0.5, 1), (5, 2))),
+    "mostly_zero": (((0, 25), (1, 1), (5, 4)), ((0, 27), (1, 1), (5, 2))),
+    "mostly_max": (((0, 3), (1, 2), (5, 15)), ((0, 1), (1, 1), (5, 18))),
+    "three_levels": (((0, 10), (0.5, 9), (5, 1)), ((0, 11), (0.5, 7), (5, 2))),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_polarization_counts_exact_ties(case):
+    a, b = (expand(arm) for arm in TIE_CASES[case])
+    exact = float(exact_polarization_p(a, b))
+    data = Dataset({"treatment": ["RA"] * len(a) + ["RR"] * len(b), "contribution": a + b})
+    n = 20_000
+    hits = round(polarization(data, "RA", "RR", permutations=n).p_value * (n + 1)) - 1
+    # Two-sided binomial band around the exact p; family-wise level 1e-3 over the cases.
+    level = 1e-3 / len(TIE_CASES) / 2
+    assert stats.binom.ppf(level, n, exact) <= hits <= stats.binom.isf(level, n, exact)
+
+
+def test_polarization_rejects_a_range_too_wide_for_exact_sums():
+    # Squared cents summed over 4 values pass 2**63 at a range of 1.6e9 cents.
+    data = Dataset({"treatment": ["RR", "RR", "RA", "RA"],
+                    "contribution": [0.0, 1.0, 2.0, 16_000_000.0]})
+    with pytest.raises(ValueError, match="range"):
+        polarization(data, "RA", "RR")
 
 
 def test_polarization_needs_data():
