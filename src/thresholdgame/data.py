@@ -2,15 +2,19 @@
 
 Each column is a read-only numpy array, parsed once when the ``Dataset`` is
 built: ``treatment`` is str, every other column float64 (blanks and ``None``
-are NaN, money is euros and must be whole cents).  Text exists only at the
-file edge, a comma-delimited UTF-8 CSV whose leading '#' lines carry run
-metadata.  There each schema column's kind sets its format: int ``%d``, float
-``repr``, money ``%.2f``.  A column outside the schema that is not all numbers
-stays text.
+are NaN, money is euros and must be whole cents; in a text column ``None`` is
+a blank).  Text exists only at the file edge, a comma-delimited UTF-8 CSV.
+Only its leading run of '#' lines is run metadata: from the header on, a line
+that starts with '#' is data.  There each schema column's kind sets its
+format: int ``%d``, float ``repr``, money ``%.2f``.  A column outside the
+schema that is not all numbers stays text.  The writer formats and quotes
+each distinct value of a column once, then joins the rows itself, byte for
+byte as Python 3.11's ``csv`` writer would.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,8 @@ def _column(name: str, values) -> np.ndarray:
             if kind is not None:
                 raise ValueError(f"column {name!r}: {exc}") from None
     if col is None:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind == "U"):
+            values = ["" if v is None else v for v in values]
         col = np.array(values, dtype=str)
     elif np.isinf(col).any():
         raise ValueError(f"column {name!r}: infinite values")
@@ -61,15 +67,40 @@ def _check_units(name: str, kind: str, col: np.ndarray) -> None:
         raise ValueError(f"column {name!r}: {kind} values must be whole units of 1/{scale}")
 
 
+def _quote(text: str) -> str:
+    """``text`` as one CSV field: quoted, with each '"' doubled, when it holds
+    ',', '"' or '\\n'.  A bare '\\r' is not quoted, as the csv module does."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cells(name: str, col: np.ndarray) -> list[str]:
-    """The CSV text of one column, formatted by its kind; NaN is a blank cell.
-    Money was checked when the column was built; ints are checked here."""
+    """The CSV fields of one column; each distinct value is formatted by the
+    column's kind, or quoted, once.  NaN is a blank field.  Money was checked
+    when the column was built; ints are checked here."""
     if col.dtype.kind != "f":
-        return col.tolist()
-    kind = SCHEMA.get(name, "float")
-    if kind == "int":
-        _check_units(name, kind, col)
-    return [_FORMATS[kind][0](v) if v == v else "" for v in col.tolist()]
+        distinct, inv = np.unique(col, return_inverse=True)
+        text = [_quote(v) for v in distinct.tolist()]
+    else:
+        kind = SCHEMA.get(name, "float")
+        if kind == "int":
+            _check_units(name, kind, col)
+        fmt = _FORMATS[kind][0]
+        # Distinct bit patterns: np.unique(col) would merge 0.0 and -0.0, which print apart.
+        bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+        text = [fmt(v) if v == v else "" for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inv].tolist()
+
+
+def _lines(columns: list[list[str]]) -> str:
+    """Rows of fields, given as columns, as CSV lines.  A row whose only field
+    is blank is written as ``""``, as the csv module does, or its line would
+    be empty."""
+    lines = map(",".join, zip(*columns))
+    if len(columns) == 1:
+        lines = (line or '""' for line in lines)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -105,17 +136,15 @@ class Dataset:
     def write_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            for i in range(0, len(self), 1024):  # in blocks: a big file never holds all its cells
-                writer.writerows(zip(*(_cells(n, c[i:i + 1024])
-                                       for n, c in self.columns.items())))
+            fh.write(_lines([[_quote(name)] for name in self.columns]))
+            for i in range(0, len(self), 1024):  # in blocks: a big file never holds all its text
+                fh.write(_lines([_cells(n, c[i:i + 1024]) for n, c in self.columns.items()]))
 
     @classmethod
     def read_csv(cls, path) -> Dataset:
-        """Load a CSV whose header names the columns."""
+        """Load a CSV whose header, after the leading '#' lines, names the columns."""
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+            reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
             header = next(reader, None)
             rows = list(reader)
         if header is None:

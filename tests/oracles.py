@@ -1,4 +1,5 @@
 """Slow, direct references that the package's fast paths are tested against."""
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from scipy import stats
 from scipy.linalg import qr
 
 from thresholdgame import solver
+from thresholdgame.data import _FORMATS, SCHEMA, _check_units
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.preferences import TIE_TOL
 
@@ -87,3 +89,25 @@ def exact_polarization_p(a, b):
         if 0 <= counts[-1] <= colors[-1] and statistic(counts) >= observed:
             tail += math.prod(math.comb(c, k) for c, k in zip(colors, counts))
     return Fraction(tail, math.comb(len(a) + len(b), len(a)))
+
+
+def _csv_cells(name, col):
+    """Every cell of one column formatted on its own; NaN is a blank cell."""
+    if col.dtype.kind != "f":
+        return col.tolist()
+    kind = SCHEMA.get(name, "float")
+    if kind == "int":
+        _check_units(name, kind, col)
+    return [_FORMATS[kind][0](v) if v == v else "" for v in col.tolist()]
+
+
+def write_csv(data, path, header_comment=None):
+    """``data.write_csv`` as the csv module writes it: each cell formatted on
+    its own, rows quoted and joined by ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(data.columns)
+        for i in range(0, len(data), 1024):
+            writer.writerows(zip(*(_csv_cells(n, c[i:i + 1024])
+                                   for n, c in data.columns.items())))
