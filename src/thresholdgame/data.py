@@ -9,7 +9,9 @@ that starts with '#' is data.  There each schema column's kind sets its
 format: int ``%d``, float ``repr``, money ``%.2f``.  A column outside the
 schema that is not all numbers stays text.  The writer formats and quotes
 each distinct value of a column once, then joins the rows itself, byte for
-byte as Python 3.11's ``csv`` writer would.
+byte as Python 3.11's ``csv`` writer would, except that it also quotes a field
+that holds '\\r' and a first column name that starts with '#', so that every
+file it writes reads back.
 """
 from __future__ import annotations
 
@@ -67,10 +69,10 @@ def _check_units(name: str, kind: str, col: np.ndarray) -> None:
         raise ValueError(f"column {name!r}: {kind} values must be whole units of 1/{scale}")
 
 
-def _quote(text: str) -> str:
+def _quote(text: str, always: bool = False) -> str:
     """``text`` as one CSV field: quoted, with each '"' doubled, when it holds
-    ',', '"' or '\\n'.  A bare '\\r' is not quoted, as the csv module does."""
-    if "," in text or '"' in text or "\n" in text:
+    ',', '"', '\\n' or '\\r' (a reader splits lines at a bare '\\r'), or always."""
+    if always or "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -136,7 +138,9 @@ class Dataset:
     def write_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
-            fh.write(_lines([[_quote(name)] for name in self.columns]))
+            # A first name starting with '#' is quoted, or the header would read as metadata.
+            fh.write(_lines([[_quote(name, not i and name.startswith("#"))]
+                             for i, name in enumerate(self.columns)]))
             for i in range(0, len(self), 1024):  # in blocks: a big file never holds all its text
                 fh.write(_lines([_cells(n, c[i:i + 1024]) for n, c in self.columns.items()]))
 

@@ -205,8 +205,6 @@ class SuccessCurve:
 
     breakpoints: tuple[tuple[Money, Fraction], ...]
     domain_max: Money
-    label: str = ""
-    alpha: float = 1.0
     #: Totals at which a symmetric equilibrium is possible: 0 plus the
     #: scenario's threshold support (steps merged away remain candidates).
     candidate_totals: tuple[Money, ...] = ()
@@ -272,5 +270,4 @@ def build_success_curve(
         if points and points[-1][1] == p:
             continue  # merge equal adjacent steps
         points.append((c, p))
-    return SuccessCurve(tuple(points), game.max_total, scenario.label, float(a),
-                        tuple(candidates))
+    return SuccessCurve(tuple(points), game.max_total, tuple(candidates))

@@ -360,9 +360,12 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
     """Per-treatment equilibrium sets and the implied cross-arm orderings."""
     summaries = []
     rn = PowerUtility(1.0)
+    n = game.n_players
     for label in TABLE_TREATMENTS:
         curve = build_success_curve(make_scenario(label), alpha, game)
-        canonical = sorted(curve.canonical_totals())
+        # As in _paper_table: a total whose per-player share is off the grid is no profile.
+        canonical = sorted(t for t in curve.canonical_totals()
+                           if t.cents % n == 0 and game.on_grid(Money(t.cents // n)))
         eq_totals = tuple(r.total for r in enumerate_symmetric(curve, rn, game, "paper"))
         conditions = []
         thresholds = []

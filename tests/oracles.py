@@ -1,5 +1,6 @@
 """Slow, direct references that the package's fast paths are tested against."""
 import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -103,11 +104,26 @@ def _csv_cells(name, col):
 
 def write_csv(data, path, header_comment=None):
     """``data.write_csv`` as the csv module writes it: each cell formatted on
-    its own, rows quoted and joined by ``csv.writer``."""
+    its own, each row quoted and joined by ``csv.writer``.  Two departures from
+    the csv module under a '\\n' line terminator make every file read back:
+    a field that holds '\\r' is quoted, as the module quotes it under a '\\r\\n'
+    terminator, and so is a first column name that starts with '#'."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+
+    def row_text(cells):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
+    names = list(data.columns)
+    header = row_text(names)
+    if header.startswith("#"):
+        header = f'"{names[0]}"' + header[len(names[0]):]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(f"# {line}\n" for line in (header_comment or "").splitlines()))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.columns)
+        fh.write(header)
         for i in range(0, len(data), 1024):
-            writer.writerows(zip(*(_csv_cells(n, c[i:i + 1024])
-                                   for n, c in data.columns.items())))
+            fh.writelines(map(row_text, zip(*(_csv_cells(n, c[i:i + 1024])
+                                          for n, c in data.columns.items()))))

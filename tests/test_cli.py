@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from thresholdgame import cli
 from thresholdgame.cli import main
 
 
@@ -216,6 +217,121 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out = run(["sweep", "--config", str(config), "--alpha", "1"], capsys)
     assert code == 0
     assert "alpha=1" in out  # flag wins
+
+
+#: (subcommand, base options, flag, value): every flag but --config, --out and
+#: --data, each with a value as a JSON config holds it, over a small base run.
+CONFIG_CASES = [
+    ("curve", {}, "scenario", "RA"),
+    ("curve", {}, "alpha", 0),
+    ("curve", {}, "grid-step", "0.50"),
+    ("solve", {}, "alpha", 1),
+    ("solve", {}, "rho", 0.4),
+    ("solve", {}, "mode", "raw"),
+    ("solve", {}, "grid-step", "0.50"),
+    ("sweep", {"samples": 5}, "alpha", 0.3),
+    ("sweep", {"samples": 5}, "rho-min", 0.5),
+    ("sweep", {"samples": 5}, "rho-max", 3),
+    ("sweep", {}, "samples", "10"),
+    ("sweep", {"samples": 5}, "grid-step", "0.50"),
+    ("hypotheses", {}, "alpha", "0.5"),
+    ("hypotheses", {}, "grid-step", "2.50"),
+    ("simulate", {"seed": 1}, "n", 40),
+    ("simulate", {"n": 20}, "seed", 2),
+    ("simulate", {"n": 20, "seed": 1}, "resolution", "pessimistic"),
+    ("simulate", {"n": 20, "seed": 1}, "grid-step", "0.50"),
+    ("power", {}, "arms", 2),
+    ("power", {}, "n", 1000),
+    ("power", {}, "sd", 2),
+    ("power", {}, "alpha-level", 0.1),
+    ("power", {}, "power", 0.9),
+    ("power", {"seed": 1}, "mc", 50),
+    ("power", {"mc": 50}, "seed", 3),
+]
+
+
+def flags(options):
+    return [arg for key, value in options.items() for arg in (f"--{key}", str(value))]
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_cases_cover_every_flag():
+    _, commands = cli._build_parser()
+    expected = {(name, opt[2:]) for name, parser in commands.items() for action in parser._actions
+                for opt in action.option_strings if opt.startswith("--")
+                and opt not in ("--help", "--config", "--out", "--data")}
+    assert {(command, flag) for command, _, flag, _ in CONFIG_CASES} == expected
+
+
+@pytest.mark.parametrize("command, base, flag, value", CONFIG_CASES,
+                         ids=[f"{c}-{f}" for c, _, f, _ in CONFIG_CASES])
+def test_config_value_runs_like_its_flag(tmp_path, capsys, command, base, flag, value):
+    out = tmp_path / "artifact"
+    config = write_config(tmp_path, {flag: value})
+    runs = []
+    for argv in (flags({**base, flag: value}), flags(base) + ["--config", config]):
+        code, stdout = run([command, *argv, "--out", str(out)], capsys)
+        runs.append((code, stdout, out.read_bytes()))
+        out.unlink()
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("sweep", {"samples": "x"}, "samples"),
+    ("sweep", {"samples": None}, "samples"),
+    ("curve", {"scenario": "XX"}, "scenario"),
+    ("solve", {"mode": ["raw"]}, "mode"),
+    ("hypotheses", {"grid-step": "a euro"}, "grid-step"),
+    ("sweep", {"smaples": 5}, "smaples"),
+    ("sweep", {"rho_min": 0.5}, "rho_min"),
+    ("sweep", {"utility": {"family": "power", "rho": 2}}, "utility"),
+    ("solve", {"out": "x.csv"}, "out"),
+    ("solve", {"utility": "power"}, "utility"),
+    ("simulate", {"rule": ["belief-best-responder"]}, "rule"),
+])
+def test_bad_config_key_or_value_exits_2_and_names_it(tmp_path, capsys, command, doc, named):
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_analyze_takes_its_data_only_from_the_flag(tmp_path, capsys):
+    config = write_config(tmp_path, {"data": str(GOLDEN / "simulate_n200_seed3.csv")})
+    assert main(["analyze", "--data", "/nonexistent.csv", "--config", config]) == 2
+    assert "'data'" in capsys.readouterr().err
+
+
+def config_line(path):
+    return next(ln for ln in path.read_text().splitlines() if ln.startswith("# config="))
+
+
+@pytest.mark.parametrize("argv, key, docs", [
+    (["solve"], "utility",
+     [{"family": "power", "rho": 0.5}, {"family": "power", "rho": 2}]),
+    (["simulate", "--n", "20", "--seed", "1"], "rule",
+     [{"kind": "belief-best-responder", "pessimism": 0.2},
+      {"kind": "belief-best-responder", "pessimism": 0.9}]),
+])
+def test_config_only_docs_are_in_the_header(tmp_path, capsys, argv, key, docs):
+    headers = []
+    for i, doc in enumerate(docs):
+        out = tmp_path / f"{i}.csv"
+        assert run([*argv, "--config", write_config(tmp_path, {key: doc}),
+                    "--out", str(out)], capsys)[0] == 0
+        headers.append(config_line(out))
+        assert json.loads(headers[-1][len("# config="):])[key].items() >= doc.items()
+    assert headers[0] != headers[1]
+
+
+def test_simulate_writes_experiment_csv_by_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THRESHOLDGAME_OUT", str(tmp_path))
+    assert run(["simulate", "--n", "20", "--seed", "1"], capsys)[0] == 0
+    assert (tmp_path / "experiment.csv").read_text().startswith("# tool=thresholdgame")
 
 
 def test_simulate_rule_from_config(tmp_path, capsys):

@@ -385,6 +385,16 @@ def test_robust_totals_match_sweep():
         assert summary.robust_totals == sweep.totals_for(summary.label)
 
 
+@pytest.mark.parametrize("step", ["5.00", "2.50", "1.00", "0.50"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_robust_totals_match_sweep_on_every_grid(step, alpha):
+    # A coarse grid drops the totals whose per-player share is off it, as the sweep does.
+    game = GameSpec(grid_step=Money.parse(step))
+    sweep = robust_table(alpha=alpha, game=game)
+    for summary in hypothesis_report(alpha, game).summaries:
+        assert summary.robust_totals == sweep.totals_for(summary.label)
+
+
 def test_report_at_intermediate_pessimism():
     # a half-and-half blend keeps the report machinery fully defined
     report = hypothesis_report(0.5)
