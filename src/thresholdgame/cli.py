@@ -153,10 +153,7 @@ def cmd_curve(args, config) -> int:
 def cmd_solve(args, config) -> int:
     game = GameSpec(grid_step=args.grid_step)
     doc = config.get("utility") if args.rho is None else None  # the flag wins
-    try:
-        u = utility_from_json(doc) if doc else PowerUtility(1.0 if args.rho is None else args.rho)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad utility config: {exc!r}") from None
+    u = utility_from_json(doc) if doc else PowerUtility(1.0 if args.rho is None else args.rho)
     rows, totals, cells = [], set(), set()
     for label in TREATMENTS:
         curve = build_success_curve(make_scenario(label), args.alpha, game)
@@ -346,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (RankDeficientError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: numerical overflow ({exc})", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

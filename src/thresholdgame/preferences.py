@@ -13,6 +13,7 @@ is derived from the success curve itself, not hardcoded per treatment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -80,10 +81,22 @@ def utility_from_json(doc: dict) -> UtilityFn:
     """Config form: {"family":"power","rho":1.0} or {"family":"table","points":[[0,0],...]}."""
     family = doc.get("family")
     if family == "power":
-        return PowerUtility(doc["rho"])
+        rho = doc.get("rho")
+        if not is_real(rho):
+            raise ValueError(f"utility.rho must be a number, got {rho!r}")
+        return PowerUtility(rho)
     if family == "table":
-        return TableUtility([tuple(p) for p in doc["points"]])
-    raise ValueError(f"unknown utility family: {family!r}")
+        points = doc.get("points")
+        if not (isinstance(points, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(map(is_real, p)) for p in points)):
+            raise ValueError(f"utility.points must be [euros, value] number pairs, got {points!r}")
+        return TableUtility([tuple(p) for p in points])
+    raise ValueError(f"unknown utility.family: {family!r}")
+
+
+def is_real(value: object) -> bool:
+    """A config number: an int, float or Fraction, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -118,8 +131,6 @@ ConditionResult = Union[EqCondition, str]
 def power_threshold(cond: EqCondition) -> float:
     """Critical exponent rho* = ln(k) / ln(lhs/rhs): the condition holds for
     power utility exactly when rho < rho*."""
-    if cond.rhs_point == cond.lhs_point:
-        raise ValueError("degenerate condition: rhs_point equals lhs_point")
     ratio = cond.lhs_point.euros / cond.rhs_point.euros
     return math.log(float(cond.factor)) / math.log(ratio)
 

@@ -36,7 +36,7 @@ from .game import (
     make_scenario,
 )
 from .money import Money
-from .preferences import RISK_NEUTRAL, TIE_TOL
+from .preferences import RISK_NEUTRAL, TIE_TOL, is_real
 from .solver import enumerate_symmetric
 
 RNG_FORMAT = 2
@@ -154,6 +154,10 @@ class BehavioralRule:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
         if self.equilibrium_pick not in ("max", "min"):
             raise ValueError("equilibrium_pick must be 'max' or 'min'")
+        if not isinstance(self.noise, bool):
+            raise ValueError(f"rule.noise must be true or false, got {self.noise!r}")
+        if not (is_real(self.pessimism) and 0 <= self.pessimism <= 1):
+            raise ValueError(f"rule.pessimism must be a number in [0, 1], got {self.pessimism!r}")
 
 
 @dataclass(frozen=True)

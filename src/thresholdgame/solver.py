@@ -10,8 +10,8 @@ notions disagree for some utilities, and both are reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -85,32 +85,29 @@ class PayoffTable:
         # when the cell holds the maximum, and at least the cell's payoff if not.
         runner_up = (np.partition(self.payoff, -2, 0)[-2] if len(g) > 1
                      else np.full(len(s), -np.inf))
-        # Per-cell flags as nested lists: classification reads them one cell at a time.
-        self.nash = (self.payoff.max(0) <= self.payoff + TIE_TOL).tolist()
-        self.tied = (runner_up >= self.payoff - TIE_TOL).tolist()
-        self.zero = (np.abs(self.payoff) <= TIE_TOL).tolist()
-        self._dominated: list[bool] | None = None
+        self.nash = self.payoff.max(0) <= self.payoff + TIE_TOL
+        self.tied = runner_up >= self.payoff - TIE_TOL
+        self.zero = np.abs(self.payoff) <= TIE_TOL
+        #: Grid-index profile totals that are canonical totals.
+        self.canonical = np.zeros(game.n_players * g[-1] + 1, dtype=bool)
+        self.canonical[[c // game.grid_step for c in curve.canonical_totals()
+                        if c.is_multiple_of(game.grid_step)]] = True
 
-    def dominated(self) -> list[bool]:
+    @cached_property
+    def dominated(self) -> np.ndarray:
         """Textbook weak dominance per strategy, over all opponent totals."""
-        if self._dominated is None:
-            p = self.payoff
-            self._dominated = [
-                bool(((p >= row - TIE_TOL).all(1) & (p > row + TIE_TOL).any(1)).any())
-                for row in p]
-        return self._dominated
+        p = self.payoff
+        return np.array([((p >= row - TIE_TOL).all(1) & (p > row + TIE_TOL).any(1)).any()
+                         for row in p])
 
-    def verdict(self, gis: Sequence[int], canonical: set[int]) -> tuple[bool, bool, bool] | None:
-        """(weak, zero payoff, excluded by the paper filter) if the profile of
-        grid indices is Nash, else None; ``canonical`` holds total indices."""
-        t = sum(gis)
-        weak, zero = False, True
-        for g in gis:
-            if not self.nash[g][t - g]:
-                return None
-            weak = weak or self.tied[g][t - g]
-            zero = zero and self.zero[g][t - g]
-        return weak, zero, weak or zero or t not in canonical
+    def verdict(self, profiles: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(Nash, weak, zero payoff, excluded by the paper filter) per row of a
+        matrix of grid-index profiles."""
+        t = profiles.sum(1)
+        cell = profiles, t[:, None] - profiles
+        weak = self.tied[cell].any(1)
+        zero = self.zero[cell].all(1)
+        return self.nash[cell].all(1), weak, zero, weak | zero | ~self.canonical[t]
 
 
 @lru_cache(maxsize=64)
@@ -124,37 +121,41 @@ def _curve_values(curve: SuccessCurve, game: GameSpec) -> np.ndarray:
     return values
 
 
-def _canonical_indices(curve: SuccessCurve, game: GameSpec) -> set[int]:
-    """Grid-index totals of the canonical totals that lie on the grid."""
-    step = game.grid_step
-    return {c // step for c in curve.canonical_totals() if c.is_multiple_of(step)}
-
-
-def _classify(
-    table: PayoffTable, gis: Sequence[int], curve: SuccessCurve, canonical: set[int]
-) -> EquilibriumRecord | None:
-    verdict = table.verdict(gis, canonical)
-    if verdict is None:
-        return None
-    weak, zero, excluded = verdict
-    game, t = table.game, sum(gis)
-    total = game.grid_step * t
-    condition: ConditionResult | None = None
-    if t in canonical and len(set(gis)) == 1:
-        try:
-            condition = condition_from_curve(curve, total, game)
-        except NotImplementedError:
-            condition = UNREDUCED
-    dominated = table.dominated()
-    return EquilibriumRecord(
-        profile=Profile(tuple(table.grid[g] for g in gis)),
-        total=total,
-        kind="weak" if weak else "strict",
-        zero_payoff=zero,
-        weakly_dominated_strategy=any(dominated[g] for g in gis),
-        paper_filter_excluded=excluded,
-        supporting_condition=condition,
-    )
+def _records(
+    table: PayoffTable, curve: SuccessCurve, profiles: list[tuple[int, ...]]
+) -> list[EquilibriumRecord]:
+    """Records of the Nash profiles among ``profiles`` (grid-index tuples of
+    one length), in their order."""
+    matrix = np.array(profiles, dtype=np.intp).reshape(-1, table.game.n_players)
+    nash, weak, zero, excluded = table.verdict(matrix)
+    dominated = table.dominated[matrix].any(1)
+    t = matrix.sum(1)
+    # A symmetric profile at a canonical total carries its condition.
+    conditioned = (matrix == matrix[:, :1]).all(1) & table.canonical[t]
+    game, grid = table.game, table.grid
+    totals = {i: game.grid_step * i for i in set(t.tolist())}
+    records = []
+    for gis, i, ok, w, z, d, x, c in zip(
+            profiles, t.tolist(), nash.tolist(), weak.tolist(), zero.tolist(),
+            dominated.tolist(), excluded.tolist(), conditioned.tolist()):
+        if not ok:
+            continue
+        condition: ConditionResult | None = None
+        if c:
+            try:
+                condition = condition_from_curve(curve, totals[i], game)
+            except NotImplementedError:
+                condition = UNREDUCED
+        records.append(EquilibriumRecord(
+            profile=Profile(tuple(map(grid.__getitem__, gis))),
+            total=totals[i],
+            kind="weak" if w else "strict",
+            zero_payoff=z,
+            weakly_dominated_strategy=d,
+            paper_filter_excluded=x,
+            supporting_condition=condition,
+        ))
+    return records
 
 
 def enumerate_symmetric(
@@ -171,11 +172,8 @@ def enumerate_symmetric(
     if filter_mode not in ("raw", "paper"):
         raise ValueError(f"filter_mode must be 'raw' or 'paper', got {filter_mode!r}")
     table = PayoffTable(curve, u, game)
-    canonical = _canonical_indices(curve, game)
-    records = (_classify(table, (g,) * game.n_players, curve, canonical)
-               for g in range(len(table.grid)))
-    return [r for r in records
-            if r is not None and not (filter_mode == "paper" and r.paper_filter_excluded)]
+    records = _records(table, curve, [(g,) * game.n_players for g in range(len(table.grid))])
+    return [r for r in records if not (filter_mode == "paper" and r.paper_filter_excluded)]
 
 
 def _compositions(total: int, parts: list[int], n: int) -> list[tuple[int, ...]]:
@@ -211,13 +209,11 @@ def enumerate_all_profiles(
         raise EnumerationCapExceeded(required, cap)
     table = PayoffTable(curve, u, game)
     n_others = table.payoff.shape[1]
-    canonical = _canonical_indices(curve, game)
     records = []
     for t in range(n * (n_grid - 1) + 1):
         ok = [g for g in range(max(0, t - n_others + 1), min(t, n_grid - 1) + 1)
-              if table.nash[g][t - g]]
-        records += [_classify(table, gis, curve, canonical)
-                    for gis in _compositions(t, ok, n)]
+              if table.nash[g, t - g]]
+        records += _records(table, curve, _compositions(t, ok, n))
     return records
 
 
@@ -252,7 +248,15 @@ def equilibrium_table(
     u: UtilityFn, alpha: float, game: GameSpec = DEFAULT_GAME
 ) -> EquilibriumTable:
     """Paper-mode equilibrium totals per treatment for one utility function."""
-    return _paper_table([u], alpha, game)
+    n = game.n_players
+
+    def survivors(curve: SuccessCurve) -> list[Money]:
+        table = PayoffTable(curve, u, game)
+        shares = np.flatnonzero(table.canonical[::n])  # each g whose total g*n is canonical
+        nash, _, _, excluded = table.verdict(np.repeat(shares[:, None], n, 1))
+        return [game.grid_step * (int(g) * n) for g in shares[nash & ~excluded]]
+
+    return _paper_table(alpha, game, survivors)
 
 
 def robust_table(
@@ -261,45 +265,48 @@ def robust_table(
     samples: int = 100,
     game: GameSpec = DEFAULT_GAME,
 ) -> EquilibriumTable:
-    """Cell is Y iff the total survives paper-mode at every sampled power utility.
-
-    The default log-spaced sweep over [0.2, 10] brackets every finite critical
-    exponent that occurs in the built-in scenarios.
-    """
+    """Cell is Y iff the total survives paper mode at each of ``samples``
+    log-spaced power exponents in ``rho_range``, decided by its exact condition:
+    it holds for any u, or, as ``u(L) < k*u(m)``, for the exponents below its
+    ``rho*``.  The default range brackets every finite ``rho*`` of the
+    built-in scenarios."""
     if samples < 1:
         raise ValueError("need at least one utility sample")
     lo, hi = rho_range
     if not 0 < lo <= hi:
         raise ValueError(f"invalid rho range: {rho_range}")
-    if samples == 1 or lo == hi:
-        rhos = [lo]
-    else:
-        ratio = hi / lo
-        rhos = [lo * ratio ** (i / (samples - 1)) for i in range(samples)]
-    return _paper_table([PowerUtility(rho) for rho in rhos], alpha, game)
+    top = lo if samples == 1 or lo == hi else lo * (hi / lo)  # the last log-spaced sample
+
+    def survivors(curve: SuccessCurve) -> list[Money]:
+        return [total for total, cond in _symmetric_conditions(curve, game)
+                if cond == HOLDS_FOR_ANY_U
+                or isinstance(cond, EqCondition) and power_threshold(cond) > top]
+
+    return _paper_table(alpha, game, survivors)
 
 
 def _paper_table(
-    utilities: Sequence[UtilityFn], alpha: float, game: GameSpec
+    alpha: float, game: GameSpec, survivors: Callable[[SuccessCurve], Iterable[Money]]
 ) -> EquilibriumTable:
-    """Cells whose symmetric profile survives paper mode under every utility."""
-    curves = [build_success_curve(make_scenario(label), alpha, game)
-              for label in TABLE_TREATMENTS]
-    totals = set().union(*(curve.canonical_totals() for curve in curves))
-    arms = [(label, curve, _canonical_indices(curve, game))
-            for label, curve in zip(TABLE_TREATMENTS, curves)]
+    """Rows are every arm's canonical totals; ``survivors`` gives one arm's Y cells."""
+    curves = {label: build_success_curve(make_scenario(label), alpha, game)
+              for label in TABLE_TREATMENTS}
+    totals = set().union(*(curve.canonical_totals() for curve in curves.values()))
+    cells = frozenset((label, total) for label, curve in curves.items()
+                      for total in survivors(curve))
+    return EquilibriumTable(tuple(sorted(totals)), TABLE_TREATMENTS, cells)
+
+
+def _symmetric_conditions(
+    curve: SuccessCurve, game: GameSpec
+) -> list[tuple[Money, ConditionResult]]:
+    """Each canonical total whose per-player share is on the grid, ascending,
+    with its condition.  A total whose share is off the grid is no profile.
+    Raises NotImplementedError where a condition does not reduce."""
     n = game.n_players
-    cells: set[tuple[str, Money]] | None = None
-    for u in utilities:
-        step_cells = set()
-        for label, curve, canonical in arms:
-            table = PayoffTable(curve, u, game)
-            for g in (t // n for t in canonical if t % n == 0):
-                verdict = table.verdict((g,) * n, canonical)
-                if verdict is not None and not verdict[2]:
-                    step_cells.add((label, game.grid_step * (g * n)))
-        cells = step_cells if cells is None else cells & step_cells
-    return EquilibriumTable(tuple(sorted(totals)), TABLE_TREATMENTS, frozenset(cells or set()))
+    return [(total, condition_from_curve(curve, total, game))
+            for total in sorted(curve.canonical_totals())
+            if total.is_multiple_of(game.grid_step * n)]
 
 
 @dataclass(frozen=True)
@@ -333,10 +340,10 @@ class HypothesisReport:
             eq = ", ".join(t.compact() for t in s.equilibrium_totals) or "-"
             rb = ", ".join(t.compact() for t in s.robust_totals) or "-"
             lines.append(f"  {s.label}: risk-neutral totals {{{eq}}}; all-u totals {{{rb}}}")
-            for total, cond in s.conditions:
-                thr = dict(s.rho_thresholds)[total]
+            for (total, cond), (_, thr) in zip(s.conditions, s.rho_thresholds):
+                text = str(cond) if isinstance(cond, EqCondition) else _REPORT_TEXT[cond]
                 extra = f" (rho* = {thr:.4f})" if thr is not None else ""
-                lines.append(f"    C={total.compact()}: {_condition_text(cond)}{extra}")
+                lines.append(f"    C={total.compact()}: {text}{extra}")
         lines.append(f"H1 (highest contributions under double ambiguity): "
                      f"{'supported' if self.h1_supported else 'not supported'}")
         lines.append(f"H2 (loss-probability ambiguity raises contributions): "
@@ -346,43 +353,28 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _condition_text(cond: ConditionResult) -> str:
-    if cond == HOLDS_FOR_ANY_U:
-        return "holds for any u"
-    if cond == NEVER_EQUILIBRIUM:
-        return "never an equilibrium"
-    if cond == UNREDUCED:
-        return "does not reduce"
-    return str(cond)
+#: How the report and the CSV word the conditions that are no inequality.
+_REPORT_TEXT = {HOLDS_FOR_ANY_U: "holds for any u", NEVER_EQUILIBRIUM: "never an equilibrium",
+                UNREDUCED: "does not reduce"}
+_CSV_TEXT = {**_REPORT_TEXT, NEVER_EQUILIBRIUM: "never", None: ""}
 
 
 def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> HypothesisReport:
     """Per-treatment equilibrium sets and the implied cross-arm orderings."""
     summaries = []
     rn = PowerUtility(1.0)
-    n = game.n_players
     for label in TABLE_TREATMENTS:
         curve = build_success_curve(make_scenario(label), alpha, game)
-        # As in _paper_table: a total whose per-player share is off the grid is no profile.
-        canonical = sorted(t for t in curve.canonical_totals()
-                           if t.cents % n == 0 and game.on_grid(Money(t.cents // n)))
-        eq_totals = tuple(r.total for r in enumerate_symmetric(curve, rn, game, "paper"))
-        conditions = []
-        thresholds = []
-        robust = []
-        for total in canonical:
-            cond = condition_from_curve(curve, total, game)
-            conditions.append((total, cond))
-            thr = power_threshold(cond) if isinstance(cond, EqCondition) else None
-            thresholds.append((total, thr))
-            if cond == HOLDS_FOR_ANY_U:
-                robust.append(total)
+        conditions = _symmetric_conditions(curve, game)
         summaries.append(TreatmentSummary(
             label=label,
-            equilibrium_totals=eq_totals,
-            robust_totals=tuple(robust),
+            equilibrium_totals=tuple(
+                r.total for r in enumerate_symmetric(curve, rn, game, "paper")),
+            robust_totals=tuple(t for t, cond in conditions if cond == HOLDS_FOR_ANY_U),
             conditions=tuple(conditions),
-            rho_thresholds=tuple(thresholds),
+            rho_thresholds=tuple(
+                (t, power_threshold(cond) if isinstance(cond, EqCondition) else None)
+                for t, cond in conditions),
         ))
     by_label = {s.label: s for s in summaries}
     high = Money.from_euros(10)
@@ -410,24 +402,14 @@ def records_to_csv_rows(records: Iterable[EquilibriumRecord], treatment: str) ->
     rows = []
     for rec in records:
         cond = rec.supporting_condition
-        if isinstance(cond, EqCondition):
-            cond_text = str(cond)
-            rho = f"{power_threshold(cond):.6f}"
-        elif cond == HOLDS_FOR_ANY_U:
-            cond_text, rho = "holds for any u", ""
-        elif cond == NEVER_EQUILIBRIUM:
-            cond_text, rho = "never", ""
-        elif cond == UNREDUCED:
-            cond_text, rho = "does not reduce", ""
-        else:
-            cond_text, rho = "", ""
+        exact = isinstance(cond, EqCondition)
         rows.append({
             "treatment": treatment,
             "total": rec.total.compact(),
             "kind": rec.kind,
             "zero_payoff": int(rec.zero_payoff),
             "dominated_textbook": int(rec.weakly_dominated_strategy),
-            "condition": cond_text,
-            "rho_threshold": rho,
+            "condition": str(cond) if exact else _CSV_TEXT[cond],
+            "rho_threshold": f"{power_threshold(cond):.6f}" if exact else "",
         })
     return rows

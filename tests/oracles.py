@@ -25,21 +25,20 @@ def check_condition(cond, u):
 
 def classify_profile(profile, curve, u, game=DEFAULT_GAME):
     """The EquilibriumRecord of one profile if it is Nash, else None: one
-    payoff table for the profile alone, then the solver's classification."""
+    payoff table for the profile alone, then the solver's array verdict on a
+    one-row matrix."""
     table = solver.PayoffTable(curve, u, game)
-    gis = [c // game.grid_step for c in profile.contributions]
-    return solver._classify(table, gis, curve, solver._canonical_indices(curve, game))
+    gis = tuple(c // game.grid_step for c in profile.contributions)
+    return next(iter(solver._records(table, curve, [gis])), None)
 
 
 def brute_force(curve, u, game=DEFAULT_GAME):
-    """Every grid profile, classified one at a time by the path behind
-    classify_profile, in enumeration order.  The payoff table and the
-    canonical totals are built once per game, not once per profile."""
+    """Every grid profile, in enumeration order, as rows of one matrix for the
+    array verdict behind classify_profile; rows are judged one by one, so
+    this is each profile classified alone, without the by-total search."""
     table = solver.PayoffTable(curve, u, game)
-    canonical = solver._canonical_indices(curve, game)
-    profiles = itertools.product(range(len(table.grid)), repeat=game.n_players)
-    records = (solver._classify(table, gis, curve, canonical) for gis in profiles)
-    return sorted((r for r in records if r is not None),
+    profiles = list(itertools.product(range(len(table.grid)), repeat=game.n_players))
+    return sorted(solver._records(table, curve, profiles),
                   key=lambda r: (r.total, r.profile.contributions))
 
 

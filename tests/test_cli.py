@@ -76,6 +76,10 @@ GOLDEN = Path(__file__).parent / "golden"
      ["solve", "--alpha", "1", "--rho", "0.7", "--mode", "raw", "--grid-step", "0.50"]),
     ("sweep_alpha1_step0.50.csv", ["sweep", "--alpha", "1", "--grid-step", "0.50"]),
     ("hypotheses_alpha0.5.txt", ["hypotheses", "--alpha", "0.5"]),
+    # At alpha 0 the cells' rho* are 1.0, 1.15, 4.92, 7.21 and 9.85: the range
+    # [0.5, 6] keeps the cells above 6 and drops those below.
+    ("sweep_alpha0_rho0.5-6.csv",
+     ["sweep", "--alpha", "0", "--rho-min", "0.5", "--rho-max", "6", "--samples", "25"]),
 ])
 def test_theory_artifacts_match_golden_bytes(tmp_path, capsys, golden, argv):
     out = tmp_path / golden
@@ -298,6 +302,34 @@ def test_config_value_runs_like_its_flag(tmp_path, capsys, command, base, flag, 
 def test_bad_config_key_or_value_exits_2_and_names_it(tmp_path, capsys, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["simulate", "--n", "20", "--seed", "1"], {"rule": {"noise": "no"}}, "rule.noise"),
+    (["simulate", "--n", "20", "--seed", "1"],
+     {"rule": {"kind": "belief-best-responder", "pessimism": "x"}}, "rule.pessimism"),
+    (["solve"], {"utility": {"family": "table", "points": "ab"}}, "utility.points"),
+], ids=("rule.noise", "rule.pessimism", "utility.points"))
+def test_config_only_objects_are_typed(tmp_path, capsys, monkeypatch, argv, doc, named):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    assert main([*argv, "--config", write_config(tmp_path, doc)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "experiment.csv").exists()
+
+
+def test_overflow_is_a_numerical_failure(capsys):
+    # 5.0 ** 500 overflows a float: exit 3, with a message and no traceback.
+    assert main(["solve", "--rho", "500"]) == 3
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_sweep_decides_exponents_past_float_range(capsys):
+    tables = []
+    for top in ("1000", "400"):
+        code, out = run(["sweep", "--rho-max", top], capsys)
+        assert code == 0
+        tables.append(out.splitlines()[1:])
+    assert tables[0] == tables[1]
 
 
 def test_analyze_takes_its_data_only_from_the_flag(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -46,6 +47,7 @@ F = Fraction
 RN = PowerUtility(1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def curve(label, alpha=1.0, game=DEFAULT_GAME):
     return build_success_curve(make_scenario(label), alpha, game)
 
@@ -238,31 +240,51 @@ def test_unreduced_condition_is_recorded():
 
 # --- tables ----------------------------------------------------------------------
 
-def reference_table(utilities, alpha, game=DEFAULT_GAME):
-    """Cells kept by paper-mode symmetric enumeration under every utility."""
-    cells = None
-    for u in utilities:
-        kept = {(label, r.total) for label in TABLE_TREATMENTS
-                for r in enumerate_symmetric(curve(label, alpha, game), u, game, "paper")}
-        cells = kept if cells is None else cells & kept
-    return cells
+@functools.lru_cache(maxsize=None)
+def paper_cells(rho, alpha, game):
+    """Cells kept by paper-mode symmetric enumeration under u(x) = x ** rho."""
+    u = PowerUtility(rho)
+    return frozenset((label, r.total) for label in TABLE_TREATMENTS
+                     for r in enumerate_symmetric(curve(label, alpha, game), u, game, "paper"))
 
 
-@pytest.mark.parametrize("game", (DEFAULT_GAME, STEP_050), ids=("step1.00", "step0.50"))
+def reference_table(rhos, alpha, game=DEFAULT_GAME):
+    """Cells kept under every power utility with an exponent in ``rhos``."""
+    return frozenset.intersection(*(paper_cells(rho, alpha, game) for rho in rhos))
+
+
+def sampled_exponents(rho_range, samples):
+    """The log-spaced exponents the sweep is defined over."""
+    lo, hi = rho_range
+    if samples == 1 or lo == hi:
+        return [lo]
+    return [lo * (hi / lo) ** (i / (samples - 1)) for i in range(samples)]
+
+
+STEPS = ("5.00", "2.50", "1.00", "0.50")
+
+
+@pytest.mark.parametrize("step", STEPS, ids=[f"step{s}" for s in STEPS])
 @pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 1.0))
-def test_tables_match_symmetric_enumeration(alpha, game):
+def test_tables_match_symmetric_enumeration(alpha, step):
+    game = GameSpec(grid_step=Money.parse(step))
     for rho in (0.2, 0.7, 1.0, 1.2, 3.0, 10.0):
-        u = PowerUtility(rho)
-        assert equilibrium_table(u, alpha, game).cells == reference_table([u], alpha, game)
-    rhos = [0.2 * 50 ** (i / 9) for i in range(10)]
-    sweep = robust_table(alpha=alpha, samples=10, game=game)
-    assert sweep.cells == reference_table([PowerUtility(r) for r in rhos], alpha, game)
+        assert equilibrium_table(PowerUtility(rho), alpha, game).cells == \
+            reference_table([rho], alpha, game)
+    # The exact sweep against the per-utility oracle, over group sizes,
+    # exponent ranges and sample counts.
+    for n, rho_range, samples in itertools.product(
+            range(1, 8), ((0.2, 10.0), (1.0, 1.0), (0.9, 1.1), (0.05, 50.0)), (1, 10)):
+        sized = GameSpec(n_players=n, grid_step=game.grid_step)
+        sweep = robust_table(alpha, rho_range, samples, sized)
+        rhos = sampled_exponents(rho_range, samples)
+        assert sweep.cells == reference_table(rhos, alpha, sized), (n, rho_range, samples)
 
 
 def test_equilibrium_table_on_fine_grid():
     fine = GameSpec(grid_step=Money(5))
     table = equilibrium_table(RN, 1.0, fine)
-    assert table.cells == reference_table([RN], 1.0, fine)
+    assert table.cells == reference_table([1.0], 1.0, fine)
     assert {E(0), E(5), E(10)} <= set(table.totals)
 
 
@@ -292,6 +314,20 @@ def test_optimist_robust_table():
 def test_degenerate_sweep_reproduces_risk_neutral_table():
     assert_table(robust_table(alpha=1.0, rho_range=(1.0, 1.0), samples=5),
                  PAPER_TOTALS_PESSIMIST)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+def test_sweep_boundary_is_strict_at_rho_star(alpha):
+    # Scaling by 0.5 is exact, so each range's largest sampled exponent is its
+    # top.  A top at rho* ties u(L) with k*u(m), and a tie is not strict; a top
+    # 1e-9 relative below rho* keeps the cell.
+    cells = [(s.label, total, rho_star) for s in hypothesis_report(alpha).summaries
+             for total, rho_star in s.rho_thresholds if rho_star is not None and rho_star > 0.5]
+    assert cells
+    for label, total, rho_star in cells:
+        assert not robust_table(alpha, (0.5, rho_star)).has(label, total)
+        assert robust_table(alpha, (0.5, rho_star * (1 - 1e-9))).has(label, total)
+        assert not robust_table(alpha, (rho_star, rho_star), samples=1).has(label, total)
 
 
 def test_robust_table_rejects_empty_sample():
