@@ -39,8 +39,8 @@ from .preferences import PowerUtility, utility_from_json
 from .simulator import RESOLUTION_POLICIES, RNG_FORMAT, BehavioralRule, SimConfig, simulate
 from .solver import (
     EnumerationCapExceeded,
-    EquilibriumTable,
     enumerate_symmetric,
+    equilibrium_table,
     hypothesis_report,
     records_to_csv_rows,
     robust_table,
@@ -154,22 +154,17 @@ def cmd_solve(args, config) -> int:
     game = GameSpec(grid_step=args.grid_step)
     doc = config.get("utility") if args.rho is None else None  # the flag wins
     u = utility_from_json(doc) if doc else PowerUtility(1.0 if args.rho is None else args.rho)
-    rows, totals, cells = [], set(), set()
+    rows = []
     for label in TREATMENTS:
         curve = build_success_curve(make_scenario(label), args.alpha, game)
-        records = enumerate_symmetric(curve, u, game, args.mode)
-        rows += records_to_csv_rows(records, label)
-        # The table's cells are the paper-mode survivors, as equilibrium_table finds them.
-        totals |= curve.canonical_totals()
-        cells |= {(label, r.total) for r in records if not r.paper_filter_excluded}
-    table = EquilibriumTable(tuple(sorted(totals)), TREATMENTS, frozenset(cells))
+        rows += records_to_csv_rows(enumerate_symmetric(curve, u, game, args.mode), label)
     print(f"Symmetric equilibria (mode={args.mode}, alpha={args.alpha:g}):")
     for row in rows:
         cond = f"  [{row['condition']}]" if row["condition"] else ""
         print(f"  {row['treatment']}: C={row['total']} ({row['kind']}"
               f"{', zero payoff' if row['zero_payoff'] else ''}){cond}")
     print()
-    print(table.render())
+    print(equilibrium_table(u, args.alpha, game).render())
     out = _resolve_out(args.out)
     if out:
         _write(out, _header(_payload(args, **({"utility": doc} if doc else {}))), _csv(rows))

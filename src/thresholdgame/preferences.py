@@ -21,8 +21,8 @@ from typing import Union
 from .game import DEFAULT_GAME, GameSpec, SuccessCurve
 from .money import Money
 
-#: Payoff comparisons treat |difference| <= TIE_TOL as a tie (double rounding
-#: on products of rationals).
+#: Payoff comparisons with no exact condition to decide them treat
+#: |difference| <= TIE_TOL as a tie (double rounding on products of rationals).
 TIE_TOL = 1e-12
 
 
@@ -133,6 +133,21 @@ def power_threshold(cond: EqCondition) -> float:
     power utility exactly when rho < rho*."""
     ratio = cond.lhs_point.euros / cond.rhs_point.euros
     return math.log(float(cond.factor)) / math.log(ratio)
+
+
+def condition_sign(cond: ConditionResult, u: UtilityFn) -> int | None:
+    """1 if ``cond`` holds strictly under ``u``, 0 at a tie, -1 if it fails, None
+    for "never" and "does not reduce".  A power utility compares rho with rho*;
+    any other compares its float values exactly, as Fractions."""
+    if cond == HOLDS_FOR_ANY_U:
+        return 1
+    if not isinstance(cond, EqCondition):
+        return None
+    if isinstance(u, PowerUtility):
+        gap = power_threshold(cond) - u.rho
+    else:
+        gap = cond.factor * Fraction(u(cond.rhs_point.euros)) - Fraction(u(cond.lhs_point.euros))
+    return (gap > 0) - (gap < 0)
 
 
 def condition_from_curve(

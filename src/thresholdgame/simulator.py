@@ -37,7 +37,7 @@ from .game import (
 )
 from .money import Money
 from .preferences import RISK_NEUTRAL, TIE_TOL, is_real
-from .solver import enumerate_symmetric
+from .solver import paper_totals
 
 RNG_FORMAT = 2
 
@@ -319,11 +319,9 @@ def _arm_curve(label: str, pessimism: float, game: GameSpec) -> SuccessCurve:
 def _equilibrium_contribution(
     label: str, pessimism: float, pick: str, game: GameSpec
 ) -> Money:
-    curve = _arm_curve(label, pessimism, game)
-    records = enumerate_symmetric(curve, RISK_NEUTRAL, game, "paper")
-    if not records:
+    totals = paper_totals(_arm_curve(label, pessimism, game), RISK_NEUTRAL, game)
+    if not totals:
         return Money(0)
-    totals = [r.total for r in records]
     total = max(totals) if pick == "max" else min(totals)
     return Money(total.cents // game.n_players)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .money import Money
 from .preferences import (
     HOLDS_FOR_ANY_U,
     NEVER_EQUILIBRIUM,
+    RISK_NEUTRAL,
     UNREDUCED,
     ConditionResult,
     EqCondition,
@@ -28,6 +29,7 @@ from .preferences import (
     TIE_TOL,
     UtilityFn,
     condition_from_curve,
+    condition_sign,
     power_threshold,
 )
 
@@ -70,7 +72,8 @@ class PayoffTable:
 
     Payoffs depend on opponents only through their total, so one table serves
     every profile: a profile whose grid indices sum to ``t`` is Nash iff every
-    own index ``g`` is a best reply at others' index ``t - g``.
+    own index ``g`` is a best reply at others' index ``t - g``.  A symmetric
+    canonical cell is decided by its condition's sign; ``TIE_TOL`` decides the rest.
     """
 
     def __init__(self, curve: SuccessCurve, u: UtilityFn, game: GameSpec):
@@ -92,6 +95,14 @@ class PayoffTable:
         self.canonical = np.zeros(game.n_players * g[-1] + 1, dtype=bool)
         self.canonical[[c // game.grid_step for c in curve.canonical_totals()
                         if c.is_multiple_of(game.grid_step)]] = True
+        #: The condition of each symmetric profile total that has one.
+        self.conditions = {total // game.grid_step: cond
+                           for total, cond in _symmetric_conditions(curve, game)}
+        for t, cond in self.conditions.items():
+            sign = condition_sign(cond, u)
+            if sign is not None:  # an inequality or "any" means a positive payoff
+                cell = t // game.n_players, t - t // game.n_players
+                self.nash[cell], self.tied[cell], self.zero[cell] = sign >= 0, sign == 0, False
 
     @cached_property
     def dominated(self) -> np.ndarray:
@@ -99,15 +110,6 @@ class PayoffTable:
         p = self.payoff
         return np.array([((p >= row - TIE_TOL).all(1) & (p > row + TIE_TOL).any(1)).any()
                          for row in p])
-
-    def verdict(self, profiles: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(Nash, weak, zero payoff, excluded by the paper filter) per row of a
-        matrix of grid-index profiles."""
-        t = profiles.sum(1)
-        cell = profiles, t[:, None] - profiles
-        weak = self.tied[cell].any(1)
-        zero = self.zero[cell].all(1)
-        return self.nash[cell].all(1), weak, zero, weak | zero | ~self.canonical[t]
 
 
 @lru_cache(maxsize=64)
@@ -121,39 +123,32 @@ def _curve_values(curve: SuccessCurve, game: GameSpec) -> np.ndarray:
     return values
 
 
-def _records(
-    table: PayoffTable, curve: SuccessCurve, profiles: list[tuple[int, ...]]
-) -> list[EquilibriumRecord]:
+def _records(table: PayoffTable, profiles: list[tuple[int, ...]]) -> list[EquilibriumRecord]:
     """Records of the Nash profiles among ``profiles`` (grid-index tuples of
     one length), in their order."""
     matrix = np.array(profiles, dtype=np.intp).reshape(-1, table.game.n_players)
-    nash, weak, zero, excluded = table.verdict(matrix)
-    dominated = table.dominated[matrix].any(1)
     t = matrix.sum(1)
-    # A symmetric profile at a canonical total carries its condition.
-    conditioned = (matrix == matrix[:, :1]).all(1) & table.canonical[t]
-    game, grid = table.game, table.grid
-    totals = {i: game.grid_step * i for i in set(t.tolist())}
+    cell = matrix, t[:, None] - matrix  # each player's (own, others' total) cell
+    nash, weak, zero = table.nash[cell].all(1), table.tied[cell].any(1), table.zero[cell].all(1)
+    excluded = weak | zero | ~table.canonical[t]
+    dominated = table.dominated[matrix].any(1)
+    symmetric = (matrix == matrix[:, :1]).all(1)
+    totals = {i: table.game.grid_step * i for i in set(t.tolist())}
     records = []
-    for gis, i, ok, w, z, d, x, c in zip(
+    for gis, i, ok, w, z, d, x, s in zip(
             profiles, t.tolist(), nash.tolist(), weak.tolist(), zero.tolist(),
-            dominated.tolist(), excluded.tolist(), conditioned.tolist()):
+            dominated.tolist(), excluded.tolist(), symmetric.tolist()):
         if not ok:
             continue
-        condition: ConditionResult | None = None
-        if c:
-            try:
-                condition = condition_from_curve(curve, totals[i], game)
-            except NotImplementedError:
-                condition = UNREDUCED
         records.append(EquilibriumRecord(
-            profile=Profile(tuple(map(grid.__getitem__, gis))),
+            profile=Profile(tuple(map(table.grid.__getitem__, gis))),
             total=totals[i],
             kind="weak" if w else "strict",
             zero_payoff=z,
             weakly_dominated_strategy=d,
             paper_filter_excluded=x,
-            supporting_condition=condition,
+            # A symmetric profile at a canonical total carries its condition.
+            supporting_condition=table.conditions.get(i) if s else None,
         ))
     return records
 
@@ -172,7 +167,7 @@ def enumerate_symmetric(
     if filter_mode not in ("raw", "paper"):
         raise ValueError(f"filter_mode must be 'raw' or 'paper', got {filter_mode!r}")
     table = PayoffTable(curve, u, game)
-    records = _records(table, curve, [(g,) * game.n_players for g in range(len(table.grid))])
+    records = _records(table, [(g,) * game.n_players for g in range(len(table.grid))])
     return [r for r in records if not (filter_mode == "paper" and r.paper_filter_excluded)]
 
 
@@ -213,7 +208,7 @@ def enumerate_all_profiles(
     for t in range(n * (n_grid - 1) + 1):
         ok = [g for g in range(max(0, t - n_others + 1), min(t, n_grid - 1) + 1)
               if table.nash[g, t - g]]
-        records += _records(table, curve, _compositions(t, ok, n))
+        records += _records(table, _compositions(t, ok, n))
     return records
 
 
@@ -244,19 +239,27 @@ class EquilibriumTable:
         return "\n".join(lines)
 
 
+def paper_totals(curve: SuccessCurve, u: UtilityFn, game: GameSpec = DEFAULT_GAME) -> list[Money]:
+    """The paper-mode symmetric equilibrium totals under ``u``, ascending: the
+    canonical totals whose condition holds strictly.  Raises
+    NotImplementedError where a condition does not reduce."""
+    conditions = _symmetric_conditions(curve, game)
+    if any(cond == UNREDUCED for _, cond in conditions):
+        raise NotImplementedError("equilibrium condition does not reduce to a single inequality")
+    return [total for total, cond in conditions if condition_sign(cond, u) == 1]
+
+
 def equilibrium_table(
     u: UtilityFn, alpha: float, game: GameSpec = DEFAULT_GAME
 ) -> EquilibriumTable:
-    """Paper-mode equilibrium totals per treatment for one utility function."""
-    n = game.n_players
-
-    def survivors(curve: SuccessCurve) -> list[Money]:
-        table = PayoffTable(curve, u, game)
-        shares = np.flatnonzero(table.canonical[::n])  # each g whose total g*n is canonical
-        nash, _, _, excluded = table.verdict(np.repeat(shares[:, None], n, 1))
-        return [game.grid_step * (int(g) * n) for g in shares[nash & ~excluded]]
-
-    return _paper_table(alpha, game, survivors)
+    """Paper-mode equilibrium totals per treatment for one utility function.
+    Rows are every arm's canonical totals."""
+    curves = {label: build_success_curve(make_scenario(label), alpha, game)
+              for label in TABLE_TREATMENTS}
+    totals = set().union(*(curve.canonical_totals() for curve in curves.values()))
+    cells = frozenset((label, total) for label, curve in curves.items()
+                      for total in paper_totals(curve, u, game))
+    return EquilibriumTable(tuple(sorted(totals)), TABLE_TREATMENTS, cells)
 
 
 def robust_table(
@@ -266,47 +269,34 @@ def robust_table(
     game: GameSpec = DEFAULT_GAME,
 ) -> EquilibriumTable:
     """Cell is Y iff the total survives paper mode at each of ``samples``
-    log-spaced power exponents in ``rho_range``, decided by its exact condition:
-    it holds for any u, or, as ``u(L) < k*u(m)``, for the exponents below its
-    ``rho*``.  The default range brackets every finite ``rho*`` of the
-    built-in scenarios."""
+    log-spaced power exponents in ``rho_range``.  Every condition holds for
+    the exponents below its ``rho*`` (or for any u), so that is the table at
+    the largest sample.  The default range brackets every finite ``rho*`` of
+    the built-in scenarios."""
     if samples < 1:
         raise ValueError("need at least one utility sample")
     lo, hi = rho_range
     if not 0 < lo <= hi:
         raise ValueError(f"invalid rho range: {rho_range}")
     top = lo if samples == 1 or lo == hi else lo * (hi / lo)  # the last log-spaced sample
-
-    def survivors(curve: SuccessCurve) -> list[Money]:
-        return [total for total, cond in _symmetric_conditions(curve, game)
-                if cond == HOLDS_FOR_ANY_U
-                or isinstance(cond, EqCondition) and power_threshold(cond) > top]
-
-    return _paper_table(alpha, game, survivors)
+    return equilibrium_table(PowerUtility(top), alpha, game)
 
 
-def _paper_table(
-    alpha: float, game: GameSpec, survivors: Callable[[SuccessCurve], Iterable[Money]]
-) -> EquilibriumTable:
-    """Rows are every arm's canonical totals; ``survivors`` gives one arm's Y cells."""
-    curves = {label: build_success_curve(make_scenario(label), alpha, game)
-              for label in TABLE_TREATMENTS}
-    totals = set().union(*(curve.canonical_totals() for curve in curves.values()))
-    cells = frozenset((label, total) for label, curve in curves.items()
-                      for total in survivors(curve))
-    return EquilibriumTable(tuple(sorted(totals)), TABLE_TREATMENTS, cells)
-
-
+@lru_cache(maxsize=256)
 def _symmetric_conditions(
     curve: SuccessCurve, game: GameSpec
-) -> list[tuple[Money, ConditionResult]]:
-    """Each canonical total whose per-player share is on the grid, ascending,
-    with its condition.  A total whose share is off the grid is no profile.
-    Raises NotImplementedError where a condition does not reduce."""
-    n = game.n_players
-    return [(total, condition_from_curve(curve, total, game))
-            for total in sorted(curve.canonical_totals())
-            if total.is_multiple_of(game.grid_step * n)]
+) -> tuple[tuple[Money, ConditionResult], ...]:
+    """Each canonical total whose per-player share is on the grid (else it is
+    no profile), ascending, with its condition, or UNREDUCED where none
+    reduces.  Cached: conditions depend on the curve and the game alone."""
+    conditions = []
+    for total in sorted(curve.canonical_totals()):
+        if total.is_multiple_of(game.grid_step * game.n_players):
+            try:
+                conditions.append((total, condition_from_curve(curve, total, game)))
+            except NotImplementedError:
+                conditions.append((total, UNREDUCED))
+    return tuple(conditions)
 
 
 @dataclass(frozen=True)
@@ -362,14 +352,12 @@ _CSV_TEXT = {**_REPORT_TEXT, NEVER_EQUILIBRIUM: "never", None: ""}
 def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> HypothesisReport:
     """Per-treatment equilibrium sets and the implied cross-arm orderings."""
     summaries = []
-    rn = PowerUtility(1.0)
     for label in TABLE_TREATMENTS:
         curve = build_success_curve(make_scenario(label), alpha, game)
         conditions = _symmetric_conditions(curve, game)
         summaries.append(TreatmentSummary(
             label=label,
-            equilibrium_totals=tuple(
-                r.total for r in enumerate_symmetric(curve, rn, game, "paper")),
+            equilibrium_totals=tuple(paper_totals(curve, RISK_NEUTRAL, game)),
             robust_totals=tuple(t for t, cond in conditions if cond == HOLDS_FOR_ANY_U),
             conditions=tuple(conditions),
             rho_thresholds=tuple(

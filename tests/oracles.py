@@ -12,15 +12,38 @@ from scipy.linalg import qr
 from thresholdgame import solver
 from thresholdgame.data import _FORMATS, SCHEMA, _check_units
 from thresholdgame.game import DEFAULT_GAME
+from thresholdgame.money import Money
 from thresholdgame.preferences import TIE_TOL
+
+
+def strictly_less(lhs, rhs):
+    """lhs < rhs by more than TIE_TOL relative to their scale (at least 1)."""
+    return lhs < rhs - TIE_TOL * max(abs(lhs), abs(rhs), 1.0)
 
 
 def check_condition(cond, u):
     """True iff u(lhs) < k * u(rhs) holds strictly (ties are not strict)."""
-    lhs = u(cond.lhs_point.euros)
-    rhs = float(cond.factor) * u(cond.rhs_point.euros)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return lhs < rhs - TIE_TOL * scale
+    return strictly_less(u(cond.lhs_point.euros), float(cond.factor) * u(cond.rhs_point.euros))
+
+
+def payoff_paper_totals(curve, u, game=DEFAULT_GAME):
+    """The paper-mode symmetric totals from payoffs alone, with no condition:
+    each canonical total whose per-player share c is on the grid, kept when
+    staying, u(E - c) * p(total), strictly beats every other contribution d,
+    u(E - d) * p(total - c + d).  Beating d = E, which keeps nothing, also
+    makes the stay payoff positive."""
+    def payoff(own, total):
+        return u((game.endowment - own).euros) * float(curve.value_at(total))
+
+    kept = []
+    for total in sorted(curve.canonical_totals()):
+        if total.is_multiple_of(game.grid_step * game.n_players):
+            c = Money(total.cents // game.n_players)
+            stay = payoff(c, total)
+            if all(strictly_less(payoff(d, total - c + d), stay)
+                   for d in game.contribution_grid() if d != c):
+                kept.append(total)
+    return kept
 
 
 def classify_profile(profile, curve, u, game=DEFAULT_GAME):
@@ -29,7 +52,7 @@ def classify_profile(profile, curve, u, game=DEFAULT_GAME):
     one-row matrix."""
     table = solver.PayoffTable(curve, u, game)
     gis = tuple(c // game.grid_step for c in profile.contributions)
-    return next(iter(solver._records(table, curve, [gis])), None)
+    return next(iter(solver._records(table, [gis])), None)
 
 
 def brute_force(curve, u, game=DEFAULT_GAME):
@@ -38,7 +61,7 @@ def brute_force(curve, u, game=DEFAULT_GAME):
     this is each profile classified alone, without the by-total search."""
     table = solver.PayoffTable(curve, u, game)
     profiles = list(itertools.product(range(len(table.grid)), repeat=game.n_players))
-    return sorted(solver._records(table, curve, profiles),
+    return sorted(solver._records(table, profiles),
                   key=lambda r: (r.total, r.profile.contributions))
 
 

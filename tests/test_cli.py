@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -449,3 +451,64 @@ def test_solve_builds_each_arm_once_and_prints_the_equilibrium_table(
     table = solver_mod.equilibrium_table(PowerUtility(rho), alpha,
                                          GameSpec(grid_step=Money.parse(step)))
     assert out.rstrip("\n").endswith(table.render())
+
+
+def rho_star_cases():
+    """(alpha, step, r) with r at each finite rho* of alphas 0, 0.5 and 1 on
+    steps 1.00 and 0.50, one and two ulps below it, and one ulp above."""
+    from thresholdgame.game import GameSpec
+    from thresholdgame.money import Money
+    from thresholdgame.solver import hypothesis_report
+
+    cases = []
+    for alpha in (0.0, 0.5, 1.0):
+        for step in ("1.00", "0.50"):
+            report = hypothesis_report(alpha, GameSpec(grid_step=Money.parse(step)))
+            stars = sorted({thr for s in report.summaries for _, thr in s.rho_thresholds
+                            if thr is not None and thr > 0})
+            for star in stars:
+                below = math.nextafter(star, 0)
+                cases += [(alpha, step, r) for r in (star, below, math.nextafter(below, 0),
+                                                     math.nextafter(star, math.inf))]
+    return cases
+
+
+def test_paper_mode_answers_agree_at_every_rho_star(capsys):
+    from thresholdgame.game import TREATMENTS, GameSpec, build_success_curve, make_scenario
+    from thresholdgame.money import Money
+    from thresholdgame.preferences import PowerUtility
+    from thresholdgame.solver import enumerate_symmetric, equilibrium_table, robust_table
+
+    cases = rho_star_cases()
+    assert len(cases) == 88
+    for alpha, step, r in cases:
+        game, u = GameSpec(grid_step=Money.parse(step)), PowerUtility(r)
+        table = equilibrium_table(u, alpha, game)
+        cells = {(label, total.compact()) for label, total in table.cells}
+        assert robust_table(alpha, (r, r), 1, game).cells == table.cells, (alpha, step, r)
+        enumerated = {(label, rec.total.compact()) for label in TREATMENTS
+                      for rec in enumerate_symmetric(
+                          build_success_curve(make_scenario(label), alpha, game), u, game, "paper")}
+        assert enumerated == cells, (alpha, step, r)
+        code, out = run(["solve", "--mode", "paper", "--alpha", repr(alpha), "--rho", repr(r),
+                         "--grid-step", step], capsys)
+        assert code == 0
+        assert out.rstrip("\n").endswith(table.render()), (alpha, step, r)
+        assert set(re.findall(r"^  (\w+): C=(\S+) \(", out, re.M)) == cells, (alpha, step, r)
+
+
+@pytest.mark.parametrize("top, kind", [(5 - 4e-13, "strict"), (5.0, "weak"), (5 + 4e-13, None)])
+def test_table_utility_ties_are_decided_exactly(tmp_path, capsys, top, kind):
+    # At alpha 1, RR's C=5 needs u(5) < 5*u(4); with u(4) = 1 that is u(5) < 5.
+    from thresholdgame.money import Money
+    from thresholdgame.preferences import TableUtility
+    from thresholdgame.solver import equilibrium_table
+
+    points = [[0, 0], [4, 1], [5, top]]
+    config = write_config(tmp_path, {"utility": {"family": "table", "points": points}})
+    code, out = run(["solve", "--mode", "raw", "--alpha", "1", "--config", config], capsys)
+    assert code == 0
+    assert re.findall(r"^  RR: C=5 \((\w+)", out, re.M) == ([kind] if kind else [])
+    table = equilibrium_table(TableUtility(points), 1.0)
+    assert out.rstrip("\n").endswith(table.render())
+    assert table.has("RR", Money.from_euros(5)) == (kind == "strict")

@@ -11,9 +11,11 @@ from thresholdgame.preferences import (
     EqCondition,
     HOLDS_FOR_ANY_U,
     NEVER_EQUILIBRIUM,
+    UNREDUCED,
     PowerUtility,
     TableUtility,
     condition_from_curve,
+    condition_sign,
     power_threshold,
     utility_from_json,
 )
@@ -209,6 +211,17 @@ def test_condition_holds_iff_below_threshold(rho):
     rho_star = power_threshold(cond)
     if abs(rho - rho_star) > 1e-9:  # knife edge needs exact-arithmetic care
         assert check_condition(cond, PowerUtility(rho)) == (rho < rho_star)
+    assert condition_sign(cond, PowerUtility(rho)) == (rho < rho_star) - (rho > rho_star)
+
+
+def test_condition_sign_of_table_utilities_and_of_non_inequalities():
+    cond = EqCondition(E(5), F(5), E(4))  # u(5) < 5*u(4), with u(4) = 1 below
+    assert [condition_sign(cond, TableUtility([(0, 0), (4, 1), (5, top)]))
+            for top in (5 - 4e-13, 5.0, 5 + 4e-13)] == [1, 0, -1]
+    assert condition_sign(cond, PowerUtility(power_threshold(cond))) == 0
+    assert condition_sign(HOLDS_FOR_ANY_U, PowerUtility(1.0)) == 1
+    assert condition_sign(NEVER_EQUILIBRIUM, PowerUtility(1.0)) is None
+    assert condition_sign(UNREDUCED, PowerUtility(1.0)) is None
 
 
 def test_mid_total_condition_weaker_when_threshold_ambiguous():

@@ -21,6 +21,7 @@ def test_reproduce_benchmark_prints_both_evaluations():
     assert "pessimist (alpha=1)" in result.stdout
     assert "optimist (alpha=0)" in result.stdout
     assert "Equilibrium/Treatment" in result.stdout
+    assert result.stdout == (ROOT / "tests" / "golden" / "reproduce_benchmark.txt").read_text()
 
 
 def test_run_default_experiment_smoke(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force, check_condition, classify_profile
+from oracles import brute_force, check_condition, classify_profile, payoff_paper_totals
 
 import thresholdgame
 from thresholdgame import solver
@@ -242,10 +242,10 @@ def test_unreduced_condition_is_recorded():
 
 @functools.lru_cache(maxsize=None)
 def paper_cells(rho, alpha, game):
-    """Cells kept by paper-mode symmetric enumeration under u(x) = x ** rho."""
+    """Cells kept in paper mode under u(x) = x ** rho, decided from payoffs alone."""
     u = PowerUtility(rho)
-    return frozenset((label, r.total) for label in TABLE_TREATMENTS
-                     for r in enumerate_symmetric(curve(label, alpha, game), u, game, "paper"))
+    return frozenset((label, total) for label in TABLE_TREATMENTS
+                     for total in payoff_paper_totals(curve(label, alpha, game), u, game))
 
 
 def reference_table(rhos, alpha, game=DEFAULT_GAME):
