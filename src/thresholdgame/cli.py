@@ -30,8 +30,7 @@ from .econometrics import RankDeficientError, analysis_battery, mde
 from .game import (
     GameSpec,
     TREATMENTS,
-    build_success_curve,
-    make_scenario,
+    arm_curve,
     prob_to_str,
 )
 from .money import Money
@@ -132,7 +131,7 @@ def cmd_curve(args, config) -> int:
     labels = TREATMENTS if args.scenario == "all" else (args.scenario,)
     docs = []
     for label in labels:
-        curve = build_success_curve(make_scenario(label), args.alpha, game)
+        curve = arm_curve(label, args.alpha, game)
         print(f"{label} (alpha={args.alpha:g}):")
         for c, p in curve.breakpoints:
             print(f"  C >= {c.compact():>2}: p = {prob_to_str(p)}")
@@ -156,7 +155,7 @@ def cmd_solve(args, config) -> int:
     u = utility_from_json(doc) if doc else PowerUtility(1.0 if args.rho is None else args.rho)
     rows = []
     for label in TREATMENTS:
-        curve = build_success_curve(make_scenario(label), args.alpha, game)
+        curve = arm_curve(label, args.alpha, game)
         rows += records_to_csv_rows(enumerate_symmetric(curve, u, game, args.mode), label)
     print(f"Symmetric equilibria (mode={args.mode}, alpha={args.alpha:g}):")
     for row in rows:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,3 +272,11 @@ def build_success_curve(
             continue  # merge equal adjacent steps
         points.append((c, p))
     return SuccessCurve(tuple(points), game.max_total, tuple(candidates))
+
+
+@lru_cache(maxsize=256)
+def arm_curve(label: str, alpha: float | Fraction, game: GameSpec) -> SuccessCurve:
+    """The success curve of arm ``label``'s scenario, built once per (label,
+    alpha, game) and shared by the tables, the report, the CLI and the
+    simulator."""
+    return build_success_curve(make_scenario(label), alpha, game)

@@ -10,8 +10,13 @@ row ``i`` or ``g`` of a counter-based Philox stream keyed by the seed and a
 purpose (``STREAMS``), a fixed number of uniforms wide; ``SUBJECT_ROW`` and
 ``GROUP_ROW`` name what each uniform feeds.  Rows ``[a, b)`` equal the stream
 advanced to row ``a``, so any partition of the rows gives the same bytes.
-Normals come from Box-Muller with libm's ``log``, ``cos`` and ``sin``, never
-numpy's CPU-dispatched ones, so the bytes do not depend on the host CPU.
+Normals come from Box-Muller.  A normal written to the output unrounded
+(``EXACT_PAIRS``) uses libm's ``log``, ``cos`` and ``sin``, never numpy's
+CPU-dispatched ones, whose last bits depend on the host CPU.  The other normals
+only become rounded covariates; they use numpy's vectorized functions, and
+``draw_covariates`` recomputes through libm every value within
+``ROUNDING_GUARD`` of a rounding tie, so the bytes do not depend on the host
+CPU either.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .game import (
     GameSpec,
     SuccessCurve,
     TREATMENTS,
-    build_success_curve,
+    arm_curve,
     make_scenario,
 )
 from .money import Money
@@ -119,6 +124,14 @@ SUBJECT_ROW = (
     *BINARY_COVARIATES, "perception_accuracy", "noise_component", "spare",
 )
 N_NORMALS = 14
+#: The Box-Muller pairs (columns 2j, 2j + 1) whose normals reach the output
+#: unrounded: risk and ambiguity aversion, belief and contribution noise.  The
+#: other pairs feed only ``ROUNDED_COVARIATES``.
+EXACT_PAIRS = (0, 6)
+#: A rounded covariate whose unrounded value lies within this distance of a
+#: half-integer is recomputed from libm normals before rounding.  numpy's
+#: functions are within a few ulps of libm, far below the guard.
+ROUNDING_GUARD = 1e-6
 #: What each uniform of a group's row feeds.
 GROUP_ROW = ("threshold", "interval_point", "success", "spare")
 #: Counter-based streams: name -> (key purpose, uniforms per row).  Purpose 0
@@ -207,15 +220,32 @@ def draws(seed: int, stream: str, start: int, stop: int) -> np.ndarray:
     return ((words >> np.uint64(11)) * 2.0 ** -53).reshape(stop - start, width)
 
 
+def _libm(fn):
+    """``fn`` elementwise over an array, through libm's scalar function."""
+    return lambda x: np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+_LIBM = tuple(map(_libm, (math.log, math.cos, math.sin)))
+
+
+def _box_muller(a, b, log=np.log, cos=np.cos, sin=np.sin):
+    """The pair (r cos t, r sin t) of uniforms (a, b), with r = sqrt(-2 ln(1 - a))
+    and t = 2 pi b; ``*_LIBM`` as the last arguments makes it host-independent."""
+    r = np.sqrt(-2.0 * log(1.0 - a))
+    t = 2.0 * math.pi * b
+    return r * cos(t), r * sin(t)
+
+
 def normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller on the first ``N_NORMALS`` columns of subject rows: the pair
-    (a, b) gives r cos t and r sin t, with r = sqrt(-2 ln(1 - a)), t = 2 pi b."""
-    a, b = u[:, 0:N_NORMALS:2], u[:, 1:N_NORMALS:2]
-    r = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - a).ravel().tolist()))))
-    t = (2.0 * math.pi * b).ravel().tolist()
+    """Box-Muller on the first ``N_NORMALS`` columns of subject rows, pair (2j,
+    2j + 1) from uniforms (2j, 2j + 1).  The pairs in ``EXACT_PAIRS`` are
+    libm's; the others are numpy's, host-dependent in the last bits, and read
+    only by ``draw_covariates``, which rechecks them."""
     z = np.empty((len(u), N_NORMALS))
-    z[:, 0::2] = (r * np.array(list(map(math.cos, t)))).reshape(a.shape)
-    z[:, 1::2] = (r * np.array(list(map(math.sin, t)))).reshape(a.shape)
+    even = np.arange(0, N_NORMALS, 2)
+    exact = np.isin(even // 2, EXACT_PAIRS)
+    for cols, fns in ((even[~exact], ()), (even[exact], _LIBM)):
+        z[:, cols], z[:, cols + 1] = _box_muller(u[:, cols], u[:, cols + 1], *fns)
     return z
 
 
@@ -248,7 +278,11 @@ def _check_groups(n_subjects: int, n_arms: int, group_size: int) -> None:
 # --- covariates --------------------------------------------------------------
 
 def draw_covariates(z: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
-    """Covariate columns from subject rows: normals ``z``, uniforms ``u``."""
+    """Covariate columns from subject rows: normals ``z``, uniforms ``u``.
+
+    A rounded covariate within ``ROUNDING_GUARD`` of a rounding tie takes its
+    normal from ``u`` through libm instead of from ``z``, so a last-bit error
+    in ``z`` changes no covariate."""
     col = SUBJECT_ROW.index
     rho = RISK_AMBIGUITY_LATENT_CORR
     z_amb = rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]
@@ -258,7 +292,13 @@ def draw_covariates(z: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
                                       *AMBIGUITY_BOUNDS),
     }
     for name, (mean, sd, lo, hi) in ROUNDED_COVARIATES.items():
-        cov[name] = np.clip(np.rint(mean + sd * z[:, col(name)]), lo, hi)
+        j = col(name)
+        x = mean + sd * z[:, j]
+        near = np.flatnonzero(np.abs(x - np.floor(x) - 0.5) < ROUNDING_GUARD)
+        if near.size:
+            pair = _box_muller(u[near, j - j % 2], u[near, j - j % 2 + 1], *_LIBM)
+            x[near] = mean + sd * pair[j % 2]
+        cov[name] = np.clip(np.rint(x), lo, hi)
     for name, p in BINARY_COVARIATES.items():
         cov[name] = (u[:, col(name)] < p).astype(float)
     return cov
@@ -311,15 +351,10 @@ def round_to_grid(x, game: GameSpec = DEFAULT_GAME) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _arm_curve(label: str, pessimism: float, game: GameSpec) -> SuccessCurve:
-    return build_success_curve(make_scenario(label), pessimism, game)
-
-
-@lru_cache(maxsize=None)
 def _equilibrium_contribution(
     label: str, pessimism: float, pick: str, game: GameSpec
 ) -> Money:
-    totals = paper_totals(_arm_curve(label, pessimism, game), RISK_NEUTRAL, game)
+    totals = paper_totals(arm_curve(label, pessimism, game), RISK_NEUTRAL, game)
     if not totals:
         return Money(0)
     total = max(totals) if pick == "max" else min(totals)
@@ -375,7 +410,7 @@ def gen_contribution(
                 arm, rule.pessimism, rule.equilibrium_pick, game).cents
         else:
             out[rows] = _best_responses(cov["risk_aversion"][rows], belief[rows],
-                                        _arm_curve(arm, rule.pessimism, game), game)
+                                        arm_curve(arm, rule.pessimism, game), game)
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .game import DEFAULT_GAME, GameSpec, SuccessCurve, build_success_curve, make_scenario
+from .game import DEFAULT_GAME, GameSpec, SuccessCurve, arm_curve
 from .game import TREATMENTS as TABLE_TREATMENTS  # table columns: the theory order
 from .money import Money
 from .preferences import (
@@ -254,8 +254,7 @@ def equilibrium_table(
 ) -> EquilibriumTable:
     """Paper-mode equilibrium totals per treatment for one utility function.
     Rows are every arm's canonical totals."""
-    curves = {label: build_success_curve(make_scenario(label), alpha, game)
-              for label in TABLE_TREATMENTS}
+    curves = {label: arm_curve(label, alpha, game) for label in TABLE_TREATMENTS}
     totals = set().union(*(curve.canonical_totals() for curve in curves.values()))
     cells = frozenset((label, total) for label, curve in curves.items()
                       for total in paper_totals(curve, u, game))
@@ -353,7 +352,7 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
     """Per-treatment equilibrium sets and the implied cross-arm orderings."""
     summaries = []
     for label in TABLE_TREATMENTS:
-        curve = build_success_curve(make_scenario(label), alpha, game)
+        curve = arm_curve(label, alpha, game)
         conditions = _symmetric_conditions(curve, game)
         summaries.append(TreatmentSummary(
             label=label,

@@ -14,6 +14,7 @@ from thresholdgame.data import _FORMATS, SCHEMA, _check_units
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.money import Money
 from thresholdgame.preferences import TIE_TOL
+from thresholdgame.simulator import N_NORMALS
 
 
 def strictly_less(lhs, rhs):
@@ -63,6 +64,19 @@ def brute_force(curve, u, game=DEFAULT_GAME):
     profiles = list(itertools.product(range(len(table.grid)), repeat=game.n_players))
     return sorted(solver._records(table, profiles),
                   key=lambda r: (r.total, r.profile.contributions))
+
+
+def normals(u):
+    """All 14 Box-Muller normals of subject rows through libm's ``log``, ``cos``
+    and ``sin``, one Python call per value: the host-independent values the
+    simulator's normals and covariates must reproduce."""
+    a, b = u[:, 0:N_NORMALS:2], u[:, 1:N_NORMALS:2]
+    r = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - a).ravel().tolist()))))
+    t = (2.0 * math.pi * b).ravel().tolist()
+    z = np.empty((len(u), N_NORMALS))
+    z[:, 0::2] = (r * np.array(list(map(math.cos, t)))).reshape(a.shape)
+    z[:, 1::2] = (r * np.array(list(map(math.sin, t)))).reshape(a.shape)
+    return z
 
 
 def ols_hc1_pivoted(design):

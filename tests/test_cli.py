@@ -116,10 +116,11 @@ def test_simulate_and_analyze_match_golden_bytes(tmp_path, capsys):
 
 
 def test_simulate_bytes_do_not_depend_on_simd_dispatch(tmp_path):
-    # numpy's AVX-512 log/exp/power differ from libm in the last bits; the
-    # simulator must not use them.  The goldens hold with that dispatch off,
-    # and a run large enough to hit such last-bit cases is byte-identical
-    # with it on and off.
+    # numpy's AVX-512 log/cos/sin differ from libm in the last bits.  The
+    # simulator writes only libm normals; numpy's reach the output only
+    # through rounding, after values near a rounding tie are recomputed
+    # through libm.  The goldens hold with that dispatch off, and a run large
+    # enough to hit such last-bit cases is byte-identical with it on and off.
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     off = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -426,7 +427,7 @@ def test_fine_grid_cap_exit_code(tmp_path, capsys):
 ])
 def test_solve_builds_each_arm_once_and_prints_the_equilibrium_table(
         capsys, monkeypatch, mode, alpha, rho, step):
-    import thresholdgame.cli as cli_mod
+    import thresholdgame.game as game_mod
     import thresholdgame.solver as solver_mod
     from thresholdgame.game import GameSpec
     from thresholdgame.money import Money
@@ -440,8 +441,11 @@ def test_solve_builds_each_arm_once_and_prints_the_equilibrium_table(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli_mod, "build_success_curve",
-                        counted(cli_mod.build_success_curve, "curves"))
+    # Every build, whoever asks for it, counts from an empty arm-curve cache:
+    # the printed table reuses the curves that gave the rows.
+    monkeypatch.setattr(game_mod, "build_success_curve",
+                        counted(game_mod.build_success_curve, "curves"))
+    game_mod.arm_curve.cache_clear()
     monkeypatch.setattr(solver_mod, "PayoffTable", counted(solver_mod.PayoffTable, "tables"))
     code, out = run(["solve", "--mode", mode, "--alpha", str(alpha), "--rho", str(rho),
                      "--grid-step", step], capsys)

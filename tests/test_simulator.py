@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+import oracles
 from thresholdgame.data import CSV_COLUMNS
-from thresholdgame.game import ARMS, TREATMENTS, GameSpec, make_scenario
+from thresholdgame.game import ARMS, TREATMENTS, GameSpec, arm_curve, make_scenario
 from thresholdgame.money import Money
 from thresholdgame.simulator import (
     COVARIATES,
+    EXACT_PAIRS,
     N_NORMALS,
     RESOLUTION_POLICIES,
+    ROUNDED_COVARIATES,
+    ROUNDING_GUARD,
     SUBJECT_ROW,
     BehavioralRule,
     SimConfig,
-    _arm_curve,
     belief_index,
     contribution_index,
     draw_covariates,
@@ -80,6 +83,67 @@ def test_normals_are_standard():
     assert np.abs(z.mean(axis=0)).max() < 0.03
     assert np.abs(z.std(axis=0) - 1.0).max() < 0.03
     assert abs(np.corrcoef(z[:, 0], z[:, 1])[0, 1]) < 0.03  # the pair's cos and sin
+
+
+def rounded_oracle(z: np.ndarray) -> dict[str, np.ndarray]:
+    """The rounded covariates of exact normals ``z``, rounded as they come."""
+    return {name: np.clip(np.rint(mean + sd * z[:, SUBJECT_ROW.index(name)]), lo, hi)
+            for name, (mean, sd, lo, hi) in ROUNDED_COVARIATES.items()}
+
+
+BEST_RESPONDER = BehavioralRule(kind="belief-best-responder")
+ORACLE_CONFIGS = {
+    "null": {},
+    "best_responder_1.00": {"rule": BEST_RESPONDER},
+    "best_responder_0.50": {"rule": BEST_RESPONDER, "game": GameSpec(grid_step=Money(50))},
+}
+
+
+@pytest.mark.parametrize("n, seeds", [(1500, (31, 32, 33)), (6000, (34,))])
+def test_normals_and_simulate_match_the_libm_oracle(monkeypatch, n, seeds):
+    exact = [c for j in EXACT_PAIRS for c in (2 * j, 2 * j + 1)]
+    assert [SUBJECT_ROW[c] for c in exact] == [
+        "risk_aversion", "ambiguity_aversion", "belief_noise", "contribution_noise"]
+    for seed in seeds:
+        u = draws(seed, "subject", 0, n)
+        z, want = normals(u), oracles.normals(u)
+        assert z[:, exact].tobytes() == want[:, exact].tobytes()
+        got, want_cov = draw_covariates(z, u), draw_covariates(want, u)
+        assert all(got[name].tobytes() == want_cov[name].tobytes() for name in COVARIATES)
+        assert all(got[name].tobytes() == v.tobytes() for name, v in rounded_oracle(want).items())
+    for name, extra in ORACLE_CONFIGS.items():
+        config = SimConfig(n_subjects=n, **extra)
+        got = [simulate(config, seed).columns for seed in seeds]
+        with monkeypatch.context() as m:
+            m.setattr("thresholdgame.simulator.normals", oracles.normals)
+            want = [simulate(config, seed).columns for seed in seeds]
+        for g, w in zip(got, want):
+            assert all(g[c].tobytes() == w[c].tobytes() for c in CSV_COLUMNS), name
+
+
+def test_rounding_ties_are_rechecked_through_libm():
+    # Row i steers column 2 + i onto a rounding tie of its covariate: b puts
+    # the pair's angle where that column's cos or sin is +-1, and a sets the
+    # radius.  The normals handed in are off by half the guard, towards the
+    # tie, which turns each of those roundings; the covariates must still be
+    # the oracle's, so each was recomputed from its uniforms.
+    u = draws(9, "subject", 0, 40)
+    rows = []
+    for i, (name, (mean, sd, lo, hi)) in enumerate(ROUNDED_COVARIATES.items()):
+        j = SUBJECT_ROW.index(name)
+        target = (lo + 0.5 - mean) / sd
+        u[i, j - j % 2] = -math.expm1(-target * target / 2)
+        u[i, j - j % 2 + 1] = (0.0 if target > 0 else 0.5) + 0.25 * (j % 2)
+        rows.append((i, j, mean, sd))
+    exact = oracles.normals(u)
+    z = exact.copy()
+    for i, j, mean, sd in rows:
+        x = mean + sd * exact[:, j]
+        assert abs(x[i] - math.floor(x[i]) - 0.5) < ROUNDING_GUARD / 4
+        z[:, j] -= np.sign(np.rint(x) - x) * ROUNDING_GUARD / (2 * sd)
+        assert np.rint(mean + sd * z[i, j]) != np.rint(x[i])  # the error turns this tie
+    got = draw_covariates(z, u)
+    assert all(got[name].tobytes() == v.tobytes() for name, v in rounded_oracle(exact).items())
 
 
 def test_subject_draws_deterministic():
@@ -264,7 +328,7 @@ def test_best_responder_matches_the_scalar_rule(step):
     treatment = np.array(ARMS * 100)
     rule = BehavioralRule(kind="belief-best-responder")
     got = contribute(cov, treatment, belief, rule, game).tolist()
-    want = [_scalar_best_response(r, b, _arm_curve(t, 1.0, game), game)
+    want = [_scalar_best_response(r, b, arm_curve(t, 1.0, game), game)
             for r, b, t in zip(cov["risk_aversion"].tolist(), belief.tolist(),
                                treatment.tolist())]
     assert got == want
