@@ -3,12 +3,16 @@
 A player keeping ``x`` euros after contributing gets utility ``u(x)`` with
 ``u(0) = 0`` and ``u`` strictly increasing; the objective at own contribution
 ``c_i`` and others' total ``C_-i`` is ``u(endowment - c_i) * p(c_i + C_-i)``,
-which ``solver.PayoffTable`` tabulates over the grid.
+whose comparisons ``solver.PayoffTable`` tabulates over the grid.
 
-The condition governing a symmetric equilibrium at a canonical total reduces,
-for the built-in scenarios, to a single inequality ``u(5) < k * u(m)`` with an
-exact rational ``k`` (or to "holds for any u" / "never holds").  The reduction
-is derived from the success curve itself, not hardcoded per treatment.
+Every payoff comparison has one exact rule.  Comparing u(m) * q with
+u(m') * q', monotonicity of u settles it unless one side keeps more money at
+a lower step; then it is an ``EqCondition`` u(L) < k * u(m) with exact
+rational ``k``, which ``condition_sign`` decides.  A symmetric equilibrium's
+condition at a canonical total is the conjunction of the open comparisons of
+staying with each deviation, or "never"; for the built-in scenarios it is one
+``u(5) < k * u(m)`` or the empty conjunction, "holds for any u".  It is
+derived from the success curve itself, not hardcoded per treatment.
 """
 from __future__ import annotations
 
@@ -20,10 +24,6 @@ from typing import Union
 
 from .game import DEFAULT_GAME, GameSpec, SuccessCurve
 from .money import Money
-
-#: Payoff comparisons with no exact condition to decide them treat
-#: |difference| <= TIE_TOL as a tie (double rounding on products of rationals).
-TIE_TOL = 1e-12
 
 
 class PowerUtility:
@@ -101,7 +101,9 @@ def is_real(value: object) -> bool:
 
 @dataclass(frozen=True)
 class EqCondition:
-    """The inequality u(lhs_point) < factor * u(rhs_point) with exact rational factor."""
+    """The inequality u(lhs_point) < factor * u(rhs_point) with exact rational
+    factor: an upper bound on u's curvature when lhs_point > rhs_point, a
+    lower bound when lhs_point < rhs_point."""
 
     lhs_point: Money
     factor: Fraction
@@ -110,41 +112,43 @@ class EqCondition:
     def __post_init__(self) -> None:
         if self.factor <= 0:
             raise ValueError("condition factor must be positive")
-        if not Money(0) < self.rhs_point < self.lhs_point:
-            raise ValueError("condition requires 0 < rhs_point < lhs_point")
+        if self.lhs_point == self.rhs_point or min(self.lhs_point, self.rhs_point) <= Money(0):
+            raise ValueError("condition requires distinct positive points")
 
     def __str__(self) -> str:
         return f"u({self.lhs_point.compact()}) < {self.factor}*u({self.rhs_point.compact()})"
 
 
-#: A symmetric equilibrium that holds for every admissible utility.
-HOLDS_FOR_ANY_U = "any"
+#: The empty conjunction: a symmetric equilibrium for every admissible utility.
+HOLDS_FOR_ANY_U: tuple[EqCondition, ...] = ()
 #: A total that is not a strict symmetric equilibrium for any admissible utility.
 NEVER_EQUILIBRIUM = "never"
-#: A strict symmetric equilibrium whose condition does not reduce to a single
-#: inequality (``condition_from_curve`` raises ``NotImplementedError``).
-UNREDUCED = "unreduced"
 
-ConditionResult = Union[EqCondition, str]
+#: A conjunction of inequalities, or NEVER_EQUILIBRIUM.
+ConditionResult = Union[tuple[EqCondition, ...], str]
 
 
 def power_threshold(cond: EqCondition) -> float:
-    """Critical exponent rho* = ln(k) / ln(lhs/rhs): the condition holds for
-    power utility exactly when rho < rho*."""
+    """Critical exponent rho* = ln(k) / ln(lhs/rhs): a power utility meets the
+    condition exactly when rho < rho* (lhs > rhs) or rho > rho* (lhs < rhs)."""
     ratio = cond.lhs_point.euros / cond.rhs_point.euros
     return math.log(float(cond.factor)) / math.log(ratio)
 
 
 def condition_sign(cond: ConditionResult, u: UtilityFn) -> int | None:
-    """1 if ``cond`` holds strictly under ``u``, 0 at a tie, -1 if it fails, None
-    for "never" and "does not reduce".  A power utility compares rho with rho*;
-    any other compares its float values exactly, as Fractions."""
-    if cond == HOLDS_FOR_ANY_U:
-        return 1
-    if not isinstance(cond, EqCondition):
+    """The least sign over the comparisons of ``cond`` under ``u``: 1 if each
+    holds strictly (so 1 for "any"), 0 if the least ties, -1 if one fails;
+    None for "never".  A power utility compares rho with each rho*; any other
+    compares its float values exactly, as Fractions."""
+    if cond == NEVER_EQUILIBRIUM:
         return None
+    return min(_sign(c, u) for c in cond) if cond else 1
+
+
+def _sign(cond: EqCondition, u: UtilityFn) -> int:
     if isinstance(u, PowerUtility):
         gap = power_threshold(cond) - u.rho
+        gap = -gap if cond.lhs_point.cents < cond.rhs_point.cents else gap
     else:
         gap = cond.factor * Fraction(u(cond.rhs_point.euros)) - Fraction(u(cond.lhs_point.euros))
     return (gap > 0) - (gap < 0)
@@ -153,15 +157,18 @@ def condition_sign(cond: ConditionResult, u: UtilityFn) -> int | None:
 def condition_from_curve(
     curve: SuccessCurve, target_total: Money, game: GameSpec = DEFAULT_GAME
 ) -> ConditionResult:
-    """Reduce the strict-symmetric-equilibrium requirement at ``target_total``
-    to a single inequality, or to "any"/"never".
+    """The strict-symmetric-equilibrium requirement at ``target_total``: the
+    conjunction of the comparisons that monotonicity of u leaves open, or
+    "never".
 
     Candidate totals are 0 and the curve's breakpoints; each player contributes
     target_total / n.  Deviation payoffs q*u(m) are compared against the stay
-    payoff p*u(m_stay) using only monotonicity of u, which is enough to settle
-    every comparison except deviations with smaller step value but more money
-    kept; for the built-in games the only such deviation is to zero, giving
-    the u(5) < k*u(m) form.
+    payoff p*u(m_stay) using only monotonicity of u, which settles every
+    comparison except a deviation to a lower step that keeps more money (an
+    upper bound on u's curvature) or to a higher step that keeps less (a lower
+    bound).  Only the maximal ones are kept, in grid order: beating (q', m')
+    implies beating (q, m) when q <= q' and m <= m'.  For the built-in games
+    the only one is the deviation to zero, giving the u(5) < k*u(m) form.
     """
     candidates = curve.canonical_totals()
     if target_total not in candidates:
@@ -182,38 +189,16 @@ def condition_from_curve(
         return NEVER_EQUILIBRIUM
 
     others = target_total - c_each
-    binding: list[tuple[Fraction, Money]] = []
+    open_: list[tuple[Fraction, Money]] = []
     for c_dev in game.contribution_grid():
-        if c_dev == c_each:
-            continue
         q = curve.value_at(others + c_dev)
         m_dev = game.endowment - c_dev
-        if m_dev == Money(0):
-            continue  # deviation payoff is identically zero, strictly worse
+        if c_dev == c_each or q == 0 or m_dev == Money(0):
+            continue  # staying itself, or a deviation that earns nothing
         if q >= p_stay and m_dev > m_stay:
             return NEVER_EQUILIBRIUM  # deviation at least as good for every u
-        if q <= p_stay and m_dev < m_stay:
-            continue  # strictly worse for every u
-        if q > p_stay and m_dev < m_stay:
-            # Deviation reaches a higher step while keeping less money; the
-            # requirement is a lower bound on u's curvature, outside the
-            # u(L) < k*u(m) form.  Does not occur at canonical totals.
-            raise NotImplementedError(
-                "equilibrium condition does not reduce to a single inequality")
-        if q < p_stay and m_dev > m_stay:
-            binding.append((q, m_dev))
-
-    binding = [b for b in binding if b[0] > 0]
-    if not binding:
-        return HOLDS_FOR_ANY_U
-    # Drop conditions implied by a stronger one: (q, m) is weaker than
-    # (q', m') when q <= q' and m <= m'.
-    maximal = [
-        (q, m) for q, m in binding
-        if not any((q2 >= q and m2 >= m and (q2, m2) != (q, m)) for q2, m2 in binding)
-    ]
-    if len(maximal) != 1:
-        raise NotImplementedError(
-            "equilibrium condition does not reduce to a single inequality")
-    q, m_dev = maximal[0]
-    return EqCondition(lhs_point=m_dev, factor=p_stay / q, rhs_point=m_stay)
+        if q > p_stay or m_dev > m_stay:  # a higher step, or more money kept
+            open_.append((q, m_dev))
+    return tuple(
+        EqCondition(lhs_point=m, factor=p_stay / q, rhs_point=m_stay) for q, m in open_
+        if not any(q2 >= q and m2 >= m and (q2, m2) != (q, m) for q2, m2 in open_))

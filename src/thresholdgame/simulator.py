@@ -41,7 +41,7 @@ from .game import (
     make_scenario,
 )
 from .money import Money
-from .preferences import RISK_NEUTRAL, TIE_TOL, is_real
+from .preferences import RISK_NEUTRAL, is_real
 from .solver import paper_totals
 
 RNG_FORMAT = 2
@@ -113,6 +113,8 @@ CONTRIBUTION_COEFS = {
 CONTRIBUTION_NOISE = (0.631, -0.633, 0.187, 1.646, 0.608)
 
 PIVOTAL_RANGE = (5.0, 9.0)  # belief in [5, 9) can swing threshold attainment
+#: The best responder's tie tolerance: it compares float payoffs at float beliefs.
+TIE_TOL = 1e-12
 
 #: What each uniform of a subject's row feeds.  Columns 0-13 pass through
 #: Box-Muller in pairs (2j, 2j+1) and become the standard normals named here;

@@ -9,7 +9,9 @@ notions disagree for some utilities, and both are reported.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Literal
 
@@ -22,11 +24,8 @@ from .preferences import (
     HOLDS_FOR_ANY_U,
     NEVER_EQUILIBRIUM,
     RISK_NEUTRAL,
-    UNREDUCED,
     ConditionResult,
-    EqCondition,
     PowerUtility,
-    TIE_TOL,
     UtilityFn,
     condition_from_curve,
     condition_sign,
@@ -68,12 +67,13 @@ class EquilibriumRecord:
 
 
 class PayoffTable:
-    """Payoffs indexed by (own grid index, others'-total grid index).
+    """Nash, tie, zero and dominance flags by (own grid index, others'-total index).
 
     Payoffs depend on opponents only through their total, so one table serves
     every profile: a profile whose grid indices sum to ``t`` is Nash iff every
-    own index ``g`` is a best reply at others' index ``t - g``.  A symmetric
-    canonical cell is decided by its condition's sign; ``TIE_TOL`` decides the rest.
+    own index ``g`` is a best reply at others' index ``t - g``.  Every flag
+    reads exact signs of payoff comparisons: monotonicity of u settles most,
+    and ``condition_sign``'s rule decides each open one's ``EqCondition``.
     """
 
     def __init__(self, curve: SuccessCurve, u: UtilityFn, game: GameSpec):
@@ -81,16 +81,18 @@ class PayoffTable:
         self.grid = game.contribution_grid()
         g = np.arange(len(self.grid))
         s = np.arange((game.n_players - 1) * g[-1] + 1)
-        u_keep = np.array([u((game.endowment - c).euros) for c in self.grid])
-        self.payoff = u_keep[:, None] * _curve_values(curve, game)[g[:, None] + s]
-        # Another strategy ties a cell iff the best of the other rows comes
-        # within TIE_TOL of it.  That best is the column's second-largest entry
-        # when the cell holds the maximum, and at least the cell's payoff if not.
-        runner_up = (np.partition(self.payoff, -2, 0)[-2] if len(g) > 1
-                     else np.full(len(s), -np.inf))
-        self.nash = self.payoff.max(0) <= self.payoff + TIE_TOL
-        self.tied = runner_up >= self.payoff - TIE_TOL
-        self.zero = np.abs(self.payoff) <= TIE_TOL
+        pairs, at, positive, settled, lower, rho_star = _pairs(curve, game)
+        cell = at[g[:, None], g[:, None] + s]  # the pair of each (own, others' total)
+        if isinstance(u, PowerUtility):
+            gap = np.where(lower, u.rho - rho_star, rho_star - u.rho)
+        else:
+            rank = np.unique([Fraction(u(m.euros)) * q for m, q in pairs], return_inverse=True)[1]
+            gap = np.subtract.outer(rank, rank)
+        # sign[g, h, s]: staying at g against deviating to h, the others at s.
+        self.sign = np.where(np.isnan(settled), np.sign(gap), settled)[cell[:, None], cell]
+        self.nash = (self.sign >= 0).all(1)
+        self.tied = ((self.sign == 0) & ~np.eye(len(g), dtype=bool)[:, :, None]).any(1)
+        self.zero = ~positive[cell]
         #: Grid-index profile totals that are canonical totals.
         self.canonical = np.zeros(game.n_players * g[-1] + 1, dtype=bool)
         self.canonical[[c // game.grid_step for c in curve.canonical_totals()
@@ -98,29 +100,42 @@ class PayoffTable:
         #: The condition of each symmetric profile total that has one.
         self.conditions = {total // game.grid_step: cond
                            for total, cond in _symmetric_conditions(curve, game)}
-        for t, cond in self.conditions.items():
-            sign = condition_sign(cond, u)
-            if sign is not None:  # an inequality or "any" means a positive payoff
-                cell = t // game.n_players, t - t // game.n_players
-                self.nash[cell], self.tied[cell], self.zero[cell] = sign >= 0, sign == 0, False
 
     @cached_property
     def dominated(self) -> np.ndarray:
         """Textbook weak dominance per strategy, over all opponent totals."""
-        p = self.payoff
-        return np.array([((p >= row - TIE_TOL).all(1) & (p > row + TIE_TOL).any(1)).any()
-                         for row in p])
+        return ((self.sign <= 0).all(2) & (self.sign < 0).any(2)).any(1)
 
 
 @lru_cache(maxsize=64)
-def _curve_values(curve: SuccessCurve, game: GameSpec) -> np.ndarray:
-    """Float p(C) at every grid total from 0 to the game's maximum.
-
-    Cached and read-only: every utility in a sweep reuses its curve's values."""
-    values = np.array([float(curve.value_at(game.grid_step * t))
-                       for t in range(game.max_total // game.grid_step + 1)])
-    values.flags.writeable = False
-    return values
+def _pairs(curve: SuccessCurve, game: GameSpec) -> tuple:
+    """The (kept money, step value) pair of each payoff u(kept) * p, the pair at
+    [own grid index, profile total], the pairs that earn more than 0, and over
+    two pairs (a, b): the sign of a's payoff less b's that monotonicity of u
+    settles (NaN if open), whether a keeps more money, and an open one's rho*.
+    Cached and read-only: every utility reuses them."""
+    kept = [game.endowment - c for c in game.contribution_grid()]
+    p = [curve.value_at(game.grid_step * t) for t in range(game.max_total // game.grid_step + 1)]
+    values = sorted(set(p))
+    n = len(values)
+    pairs = [(m, q) for m in kept for q in values]
+    at = np.arange(len(kept))[:, None] * n + [values.index(q) for q in p]
+    money, level = np.array([m.cents for m, _ in pairs]), np.tile(range(n), len(kept))
+    dm, dq = np.sign(np.subtract.outer(money, money)), np.sign(np.subtract.outer(level, level))
+    positive = (money > 0) & np.array([q > 0 for _, q in pairs])
+    settled = np.select([~np.logical_and.outer(positive, positive), dm * dq < 0],
+                        [np.subtract.outer(positive, positive, dtype=int), np.nan],
+                        np.sign(dm + dq))
+    # power_threshold(EqCondition(kept_b, value_a / value_b, kept_a)), term by term
+    log_k = [[math.log(float(a / b)) if a and b else 1.0 for b in values] for a in values]
+    log_r = [[math.log(b.euros / a.euros) if a.cents and b.cents else 1.0 for b in kept]
+             for a in kept]
+    rho_star = np.divide(np.tile(log_k, (len(kept),) * 2), np.kron(log_r, np.ones((n, n))),
+                         out=np.full(settled.shape, np.nan), where=np.isnan(settled))
+    arrays = at, positive, settled, dm > 0, rho_star
+    for array in arrays:
+        array.flags.writeable = False
+    return pairs, *arrays
 
 
 def _records(table: PayoffTable, profiles: list[tuple[int, ...]]) -> list[EquilibriumRecord]:
@@ -203,7 +218,7 @@ def enumerate_all_profiles(
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
     table = PayoffTable(curve, u, game)
-    n_others = table.payoff.shape[1]
+    n_others = table.nash.shape[1]
     records = []
     for t in range(n * (n_grid - 1) + 1):
         ok = [g for g in range(max(0, t - n_others + 1), min(t, n_grid - 1) + 1)
@@ -241,12 +256,9 @@ class EquilibriumTable:
 
 def paper_totals(curve: SuccessCurve, u: UtilityFn, game: GameSpec = DEFAULT_GAME) -> list[Money]:
     """The paper-mode symmetric equilibrium totals under ``u``, ascending: the
-    canonical totals whose condition holds strictly.  Raises
-    NotImplementedError where a condition does not reduce."""
-    conditions = _symmetric_conditions(curve, game)
-    if any(cond == UNREDUCED for _, cond in conditions):
-        raise NotImplementedError("equilibrium condition does not reduce to a single inequality")
-    return [total for total, cond in conditions if condition_sign(cond, u) == 1]
+    canonical totals whose condition holds strictly."""
+    return [total for total, cond in _symmetric_conditions(curve, game)
+            if condition_sign(cond, u) == 1]
 
 
 def equilibrium_table(
@@ -268,10 +280,10 @@ def robust_table(
     game: GameSpec = DEFAULT_GAME,
 ) -> EquilibriumTable:
     """Cell is Y iff the total survives paper mode at each of ``samples``
-    log-spaced power exponents in ``rho_range``.  Every condition holds for
-    the exponents below its ``rho*`` (or for any u), so that is the table at
-    the largest sample.  The default range brackets every finite ``rho*`` of
-    the built-in scenarios."""
+    log-spaced power exponents in ``rho_range``.  A built-in arm's condition
+    is upper bounds only (a test pins it), holding below its ``rho*``, so that
+    is the table at the largest sample.  The default range brackets every
+    finite ``rho*`` of the built-in scenarios."""
     if samples < 1:
         raise ValueError("need at least one utility sample")
     lo, hi = rho_range
@@ -286,16 +298,11 @@ def _symmetric_conditions(
     curve: SuccessCurve, game: GameSpec
 ) -> tuple[tuple[Money, ConditionResult], ...]:
     """Each canonical total whose per-player share is on the grid (else it is
-    no profile), ascending, with its condition, or UNREDUCED where none
-    reduces.  Cached: conditions depend on the curve and the game alone."""
-    conditions = []
-    for total in sorted(curve.canonical_totals()):
-        if total.is_multiple_of(game.grid_step * game.n_players):
-            try:
-                conditions.append((total, condition_from_curve(curve, total, game)))
-            except NotImplementedError:
-                conditions.append((total, UNREDUCED))
-    return tuple(conditions)
+    no profile), ascending, with its condition.  Cached: conditions depend on
+    the curve and the game alone."""
+    return tuple((total, condition_from_curve(curve, total, game))
+                 for total in sorted(curve.canonical_totals())
+                 if total.is_multiple_of(game.grid_step * game.n_players))
 
 
 @dataclass(frozen=True)
@@ -330,7 +337,7 @@ class HypothesisReport:
             rb = ", ".join(t.compact() for t in s.robust_totals) or "-"
             lines.append(f"  {s.label}: risk-neutral totals {{{eq}}}; all-u totals {{{rb}}}")
             for (total, cond), (_, thr) in zip(s.conditions, s.rho_thresholds):
-                text = str(cond) if isinstance(cond, EqCondition) else _REPORT_TEXT[cond]
+                text = _condition_text(cond, _REPORT_TEXT)
                 extra = f" (rho* = {thr:.4f})" if thr is not None else ""
                 lines.append(f"    C={total.compact()}: {text}{extra}")
         lines.append(f"H1 (highest contributions under double ambiguity): "
@@ -343,9 +350,17 @@ class HypothesisReport:
 
 
 #: How the report and the CSV word the conditions that are no inequality.
-_REPORT_TEXT = {HOLDS_FOR_ANY_U: "holds for any u", NEVER_EQUILIBRIUM: "never an equilibrium",
-                UNREDUCED: "does not reduce"}
+_REPORT_TEXT = {HOLDS_FOR_ANY_U: "holds for any u", NEVER_EQUILIBRIUM: "never an equilibrium"}
 _CSV_TEXT = {**_REPORT_TEXT, NEVER_EQUILIBRIUM: "never", None: ""}
+
+
+def _condition_text(cond: ConditionResult | None, words: dict) -> str:
+    return words[cond] if cond in words else " and ".join(map(str, cond))
+
+
+def _rho_star(cond: ConditionResult | None) -> float | None:
+    """The critical exponent of a condition that is one inequality."""
+    return power_threshold(cond[0]) if isinstance(cond, tuple) and len(cond) == 1 else None
 
 
 def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> HypothesisReport:
@@ -359,9 +374,7 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
             equilibrium_totals=tuple(paper_totals(curve, RISK_NEUTRAL, game)),
             robust_totals=tuple(t for t, cond in conditions if cond == HOLDS_FOR_ANY_U),
             conditions=tuple(conditions),
-            rho_thresholds=tuple(
-                (t, power_threshold(cond) if isinstance(cond, EqCondition) else None)
-                for t, cond in conditions),
+            rho_thresholds=tuple((t, _rho_star(cond)) for t, cond in conditions),
         ))
     by_label = {s.label: s for s in summaries}
     high = Money.from_euros(10)
@@ -389,14 +402,14 @@ def records_to_csv_rows(records: Iterable[EquilibriumRecord], treatment: str) ->
     rows = []
     for rec in records:
         cond = rec.supporting_condition
-        exact = isinstance(cond, EqCondition)
+        rho_star = _rho_star(cond)
         rows.append({
             "treatment": treatment,
             "total": rec.total.compact(),
             "kind": rec.kind,
             "zero_payoff": int(rec.zero_payoff),
             "dominated_textbook": int(rec.weakly_dominated_strategy),
-            "condition": str(cond) if exact else _CSV_TEXT[cond],
-            "rho_threshold": f"{power_threshold(cond):.6f}" if exact else "",
+            "condition": _condition_text(cond, _CSV_TEXT),
+            "rho_threshold": "" if rho_star is None else f"{rho_star:.6f}",
         })
     return rows

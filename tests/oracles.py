@@ -1,5 +1,6 @@
 """Slow, direct references that the package's fast paths are tested against."""
 import csv
+import functools
 import io
 import itertools
 import math
@@ -13,8 +14,7 @@ from thresholdgame import solver
 from thresholdgame.data import _FORMATS, SCHEMA, _check_units
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.money import Money
-from thresholdgame.preferences import TIE_TOL
-from thresholdgame.simulator import N_NORMALS
+from thresholdgame.simulator import N_NORMALS, TIE_TOL
 
 
 def strictly_less(lhs, rhs):
@@ -45,6 +45,29 @@ def payoff_paper_totals(curve, u, game=DEFAULT_GAME):
                    for d in game.contribution_grid() if d != c):
                 kept.append(total)
     return kept
+
+
+def nash_profiles(curve, u, game=DEFAULT_GAME):
+    """Every Nash profile on the grid as (contributions, kind, zero payoff),
+    from float payoffs alone and with no payoff table: no player's payoff
+    u(E - c) * p(total) is strictly below a deviation's (``strictly_less``),
+    a deviation that it does not strictly beat makes the profile weak, and a
+    zero-payoff profile pays every player 0."""
+    grid = game.contribution_grid()
+    payoff = functools.lru_cache(maxsize=None)(
+        lambda own, total: u((game.endowment - own).euros) * float(curve.value_at(total)))
+    found = []
+    for profile in itertools.product(grid, repeat=game.n_players):
+        total = sum(profile, Money(0))
+        stays, weak = [payoff(c, total) for c in profile], False
+        for c, stay in zip(profile, stays):
+            deviations = [payoff(d, total - c + d) for d in grid if d != c]
+            if any(strictly_less(stay, v) for v in deviations):
+                break
+            weak = weak or not all(strictly_less(v, stay) for v in deviations)
+        else:
+            found.append((profile, "weak" if weak else "strict", all(v == 0 for v in stays)))
+    return found
 
 
 def classify_profile(profile, curve, u, game=DEFAULT_GAME):

@@ -320,10 +320,24 @@ def test_config_only_objects_are_typed(tmp_path, capsys, monkeypatch, argv, doc,
     assert not (tmp_path / "experiment.csv").exists()
 
 
-def test_overflow_is_a_numerical_failure(capsys):
-    # 5.0 ** 500 overflows a float: exit 3, with a message and no traceback.
-    assert main(["solve", "--rho", "500"]) == 3
+def test_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # Interpolating u(4) multiplies 1e308 by 4 before dividing by 5, which
+    # overflows to inf, and inf has no exact value: exit 3, with a message and
+    # no traceback.
+    doc = {"utility": {"family": "table", "points": [[0, 0], [5, 1e308]]}}
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 3
     assert "overflow" in capsys.readouterr().err
+
+
+def test_solve_decides_exponents_past_float_range(capsys):
+    # 5.0 ** 500 is no float, but a power utility's cells are decided by
+    # comparing rho with each rho*, so no utility value is computed.
+    assert main(["solve", "--rho", "500"]) == 0
+    table = capsys.readouterr().out.split("\n\n")[-1].split("\n")
+    assert table[:4] == ["Equilibrium/Treatment  RR  RA  AR  AA",
+                         "C=0                    Y   Y",
+                         "C=5                            Y",
+                         "C=10                               Y"]
 
 
 def test_sweep_decides_exponents_past_float_range(capsys):

@@ -1,22 +1,33 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import brute_force, check_condition, classify_profile, payoff_paper_totals
+from hypothesis import assume, given, settings, strategies as st
+from oracles import (
+    brute_force,
+    check_condition,
+    classify_profile,
+    nash_profiles,
+    payoff_paper_totals,
+)
 
 import thresholdgame
 from thresholdgame import solver
 from thresholdgame.game import (
     DEFAULT_GAME,
     TREATMENTS,
+    AmbiguityScenario,
     GameSpec,
+    ProbInterval,
     SuccessCurve,
+    ThresholdSpec,
     build_success_curve,
     make_scenario,
 )
@@ -25,10 +36,10 @@ from thresholdgame.preferences import (
     EqCondition,
     HOLDS_FOR_ANY_U,
     NEVER_EQUILIBRIUM,
-    UNREDUCED,
     PowerUtility,
     TableUtility,
-    TIE_TOL,
+    condition_sign,
+    power_threshold,
 )
 from thresholdgame.solver import (
     TABLE_TREATMENTS,
@@ -38,6 +49,7 @@ from thresholdgame.solver import (
     enumerate_symmetric,
     equilibrium_table,
     hypothesis_report,
+    paper_totals,
     records_to_csv_rows,
     robust_table,
 )
@@ -68,14 +80,18 @@ def summaries(report):
 
 def payoff_column(label, others_euros):
     """One player's risk-neutral payoff at each own contribution 0..5 euros
-    while the other four give ``others_euros`` in total."""
-    return solver.PayoffTable(curve(label), RN, DEFAULT_GAME).payoff[:, others_euros].tolist()
+    while the other four give ``others_euros`` in total, exactly."""
+    c = curve(label)
+    return [(5 - own) * c.value_at(E(own + others_euros)) for own in range(6)]
 
 
 def test_staying_is_best_in_baseline_mid_equilibrium():
     column = payoff_column("RR", 4)  # the others give 1 each; staying at 1 hits 5
     assert column.index(max(column)) == 1
-    assert all(v < column[1] - TIE_TOL for i, v in enumerate(column) if i != 1)
+    assert all(v < column[1] for i, v in enumerate(column) if i != 1)
+    table = solver.PayoffTable(curve("RR"), RN, DEFAULT_GAME)
+    assert table.nash[:, 4].tolist() == [False, True, False, False, False, False]
+    assert not table.tied[1, 4]
 
 
 def test_threshold_ambiguity_kills_mid_total():
@@ -229,13 +245,145 @@ def test_equilibrium_counts_pinned(game, counts):
 
 def test_unreduced_condition_is_recorded():
     # At C=5, raising one's own 1 to 2 reaches the 3/5 step while keeping
-    # less money: a requirement outside the u(L) < k*u(m) form.
+    # less money: a lower bound on u's curvature, next to the upper bound of
+    # dropping to zero.
     odd = SuccessCurve(((Money(0), F(1, 10)), (E(5), F(1, 2)), (E(6), F(3, 5))), E(25))
     rec = classify_profile(symmetric(1), odd, RN)
     assert rec is not None and rec.kind == "strict"
-    assert rec.supporting_condition == UNREDUCED
+    assert rec.supporting_condition == (EqCondition(E(5), F(5), E(4)),
+                                        EqCondition(E(3), F(5, 6), E(4)))
     row, = records_to_csv_rows([rec], "odd")
-    assert (row["condition"], row["rho_threshold"]) == ("does not reduce", "")
+    assert (row["condition"], row["rho_threshold"]) == ("u(5) < 5*u(4) and u(3) < 5/6*u(4)", "")
+
+
+# --- random scenarios ------------------------------------------------------------
+
+@st.composite
+def random_cases(draw):
+    """(curve, utility, game) for a random scenario: 2-6 players, an endowment
+    of 2-6 euros, steps 1.00/0.50/0.25, 1-3 thresholds (known or ambiguous
+    weights), probabilities and pessimism in twentieths, and a power utility
+    or a table utility with whole-number increments at whole euros."""
+    n, euros = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    game = GameSpec(n, E(euros), Money(draw(st.sampled_from((100, 50, 25)))))
+    support = draw(st.lists(st.integers(1, 4 * n * euros), min_size=1, max_size=3, unique=True))
+    weights = draw(st.none() | st.lists(st.integers(1, 4), min_size=len(support),
+                                        max_size=len(support)))
+    unmet_lo, unmet_hi = sorted(draw(st.lists(st.integers(0, 20), min_size=2, max_size=2)))
+    met_lo = draw(st.integers(unmet_lo, 20))
+    met_hi = draw(st.integers(max(unmet_hi, met_lo), 20))
+    scenario = AmbiguityScenario(
+        "random",
+        ThresholdSpec(tuple(Money(25 * t) for t in sorted(support)),
+                      weights and tuple(F(w, sum(weights)) for w in weights)),
+        ProbInterval(F(met_lo, 20), F(met_hi, 20)),
+        ProbInterval(F(unmet_lo, 20), F(unmet_hi, 20)))
+    curve = build_success_curve(scenario, F(draw(st.integers(0, 20)), 20), game)
+    if draw(st.booleans()):
+        rises = draw(st.lists(st.integers(1, 9), min_size=euros, max_size=euros))
+        return curve, TableUtility([(0, 0)] + list(enumerate(itertools.accumulate(rises), 1))), game
+    rho = draw(st.floats(0.1, 10.0))
+    # Skip exponents within 1e-6 of a comparison's rho*, where float payoffs
+    # cannot tell the sides apart.
+    values = sorted({curve.value_at(Money(c)) for c in range(0, game.max_total.cents + 1, 25)})
+    kept = [m.euros for m in game.contribution_grid()[1:]]  # every positive amount kept
+    assume(all(abs(rho / (math.log(q2 / q1) / math.log(m2 / m1)) - 1) > 1e-6
+               for q1, q2 in itertools.combinations([v for v in values if v], 2)
+               for m1, m2 in itertools.combinations(kept, 2)))
+    return curve, PowerUtility(rho), game
+
+
+@given(case=random_cases())
+@settings(max_examples=100)
+def test_random_scenarios_match_the_payoff_oracles(case):
+    # Every scenario is decided, whatever its conditions: paper totals agree
+    # with the payoff oracle, and in small games every Nash profile, its kind
+    # and its zero flag agree with float payoffs computed without a table.
+    curve, u, game = case
+    assert paper_totals(curve, u, game) == payoff_paper_totals(curve, u, game)
+    if len(game.contribution_grid()) ** game.n_players <= 1000:
+        found = [(r.profile.contributions, r.kind, r.zero_payoff)
+                 for r in enumerate_all_profiles(curve, u, game)]
+        assert sorted(found) == sorted(nash_profiles(curve, u, game))
+
+
+# --- one rule for every cell ------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def pair_rules(c, game):
+    """For each (own g, deviation h, others' total s) of a curve's table: the
+    sign of staying less deviating where a zero payoff or monotonicity of u
+    settles it, and for the rest the EqCondition(m_h, p_g / p_h, m_g) that
+    decides them, with the cells it decides."""
+    grid = game.contribution_grid()
+    settled = np.zeros((len(grid), len(grid), (game.n_players - 1) * (len(grid) - 1) + 1))
+    open_ = {}
+    for (g, own), (h, dev), s in itertools.product(enumerate(grid), enumerate(grid),
+                                                   range(settled.shape[2])):
+        p, q = c.value_at(game.grid_step * s + own), c.value_at(game.grid_step * s + dev)
+        m, k = game.endowment - own, game.endowment - dev
+        if not (p and m.cents and q and k.cents):
+            settled[g, h, s] = bool(p and m.cents) - bool(q and k.cents)
+        elif (p - q) * (m.cents - k.cents) >= 0:
+            settled[g, h, s] = np.sign(np.sign(float(p - q)) + np.sign(m.cents - k.cents))
+        else:
+            open_.setdefault(EqCondition(k, p / q, m), []).append((g, h, s))
+    return settled, {cond: tuple(np.array(cells).T) for cond, cells in open_.items()}
+
+
+def test_every_cell_is_decided_by_its_pairs_condition_at_every_break_exponent():
+    # At every break exponent of the built-in arms (alphas 0, 1/2 and 1, steps
+    # 1.00 and 0.50), where two payoffs of one column tie, and 1 ulp either
+    # side, each cell's Nash, weak and dominance flags follow from the signs
+    # of its pairs: settled, or condition_sign of the pair's EqCondition.
+    # condition_sign is called on each condition at and around its own rho*;
+    # away from it, the sign is that of rho* - rho (reversed for lower bounds).
+    points = 0
+    games = [GameSpec(grid_step=Money.parse(step)) for step in ("1.00", "0.50")]
+    for c, game in {(curve(label, alpha, game), game) for label, alpha, game
+                    in itertools.product(TABLE_TREATMENTS, (0.0, 0.5, 1.0), games)}:
+        settled, open_ = pair_rules(c, game)
+        conds = list(open_)
+        stars = np.array([power_threshold(cond) for cond in conds])
+        lower = np.array([cond.lhs_point < cond.rhs_point for cond in conds])
+        for rho in sorted({x for r in stars for x in (math.nextafter(r, 0), r,
+                                                      math.nextafter(r, math.inf))}):
+            u = PowerUtility(rho)
+            signs = np.where(lower, np.sign(rho - stars), np.sign(stars - rho))
+            near = np.abs(stars - rho) <= 2 * (math.nextafter(rho, math.inf) - rho)
+            assert [condition_sign((conds[i],), u) for i in np.flatnonzero(near)] == \
+                signs[near].tolist()
+            sign = settled.copy()
+            for cond, s in zip(conds, signs):
+                sign[open_[cond]] = s
+            table = solver.PayoffTable(c, u, game)
+            assert (table.nash == (sign >= 0).all(1)).all(), (c, game, rho)
+            others = ~np.eye(len(sign), dtype=bool)[:, :, None]
+            assert (table.tied == ((sign == 0) & others).any(1)).all(), (c, game, rho)
+            dominated = ((sign <= 0).all(2) & (sign < 0).any(2)).any(1)
+            assert (table.dominated == dominated).all(), (c, game, rho)
+            # A canonical symmetric cell is kept in paper mode iff its total's
+            # condition holds strictly.
+            for t, cond in table.conditions.items():
+                cell = t // game.n_players, t - t // game.n_players
+                kept = table.nash[cell] and not (table.tied[cell] or table.zero[cell])
+                assert kept == (condition_sign(cond, u) == 1), (c, game, rho, t)
+            points += 1
+    assert points > 1000
+
+
+def test_built_in_conditions_are_upper_bounds_only():
+    # robust_table reads one sample, the largest, because every built-in-arm
+    # comparison holds below its rho*; a lower bound (lhs < rhs) would break it.
+    checked = 0
+    for n, step, alpha in itertools.product(range(1, 9), ("5.00", "2.50", "1.00", "0.50", "0.25"),
+                                            [F(k, 20) for k in range(21)]):
+        for summary in hypothesis_report(alpha, GameSpec(n, grid_step=Money.parse(step))).summaries:
+            for _, cond in summary.conditions:
+                if cond != NEVER_EQUILIBRIUM:
+                    assert len(cond) <= 1 and all(c.lhs_point > c.rhs_point for c in cond)
+                    checked += 1
+    assert checked > 2000
 
 
 # --- tables ----------------------------------------------------------------------
@@ -368,12 +516,10 @@ def test_strictness_agrees_with_condition_for_random_power_utilities(label, alph
             rec = classify_profile(Profile((per_player,) * 5), c, u)
             strict = rec is not None and rec.kind == "strict"
             cond = condition_from_curve(c, E(total))
-            if cond == HOLDS_FOR_ANY_U:
-                assert strict
-            elif isinstance(cond, EqCondition):
-                assert strict == check_condition(cond, u)
-            else:
+            if cond == NEVER_EQUILIBRIUM:
                 assert not strict
+            else:
+                assert strict == all(check_condition(comparison, u) for comparison in cond)
 
 
 @given(scale=st.floats(0.01, 100.0))
@@ -436,8 +582,8 @@ def test_report_at_intermediate_pessimism():
     report = hypothesis_report(0.5)
     conditions = dict(summaries(report)["AA"].conditions)
     assert conditions[E(0)] == HOLDS_FOR_ANY_U
-    cond10 = conditions[E(10)]
-    assert isinstance(cond10, EqCondition) and cond10.factor == F(9, 5)
+    cond10, = conditions[E(10)]
+    assert cond10.factor == F(9, 5)
     assert report.render()
 
 
