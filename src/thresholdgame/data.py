@@ -11,7 +11,11 @@ schema that is not all numbers stays text.  The writer formats and quotes
 each distinct value of a column once, then joins the rows itself, byte for
 byte as Python 3.11's ``csv`` writer would, except that it also quotes a field
 that holds '\\r' and a first column name that starts with '#', so that every
-file it writes reads back.
+file it writes reads back.  Writer and reader both work in blocks of
+``BLOCK_ROWS`` rows, so neither holds a big file's text at once: the reader
+turns each block's cells of a schema number column into floats straight
+away, and keeps only text cells, and the cells of columns outside the schema,
+to decide them on the whole column.
 """
 from __future__ import annotations
 
@@ -34,6 +38,9 @@ SCHEMA = {
 }
 CSV_COLUMNS = tuple(SCHEMA)
 
+#: Rows per block, for the writer and the reader alike.
+BLOCK_ROWS = 1024
+
 #: Formatter and units per value of each kind; whole units never round.
 _FORMATS = {"int": ("%d".__mod__, 1), "money": ("%.2f".__mod__, 100), "float": (repr, None)}
 
@@ -44,9 +51,8 @@ def _column(name: str, values) -> np.ndarray:
     if kind != "text" and isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         col = values.astype(float)
     elif kind != "text":
-        cells = np.array(values, dtype=object)
         try:
-            col = np.where(np.equal(cells, ""), None, cells).astype(float)
+            col = _floats(values)
         except (TypeError, ValueError) as exc:
             if kind is not None:
                 raise ValueError(f"column {name!r}: {exc}") from None
@@ -60,6 +66,12 @@ def _column(name: str, values) -> np.ndarray:
         _check_units(name, kind, col)
     col.flags.writeable = False
     return col
+
+
+def _floats(values) -> np.ndarray:
+    """Cells as float64, each parsed on its own; a blank or ``None`` is NaN."""
+    cells = np.array(values, dtype=object)
+    return np.where(np.equal(cells, ""), None, cells).astype(float)
 
 
 def _check_units(name: str, kind: str, col: np.ndarray) -> None:
@@ -141,21 +153,39 @@ class Dataset:
             # A first name starting with '#' is quoted, or the header would read as metadata.
             fh.write(_lines([[_quote(name, not i and name.startswith("#"))]
                              for i, name in enumerate(self.columns)]))
-            for i in range(0, len(self), 1024):  # in blocks: a big file never holds all its text
-                fh.write(_lines([_cells(n, c[i:i + 1024]) for n, c in self.columns.items()]))
+            for i in range(0, len(self), BLOCK_ROWS):
+                fh.write(_lines([_cells(n, c[i:i + BLOCK_ROWS]) for n, c in self.columns.items()]))
 
     @classmethod
     def read_csv(cls, path) -> Dataset:
-        """Load a CSV whose header, after the leading '#' lines, names the columns."""
+        """Load a CSV whose header, after the leading '#' lines, names the columns.
+        A defect is reported from the first block that has one: a ragged row,
+        then a schema number column's bad cell, in header order."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
-            header = next(reader, None)
-            rows = list(reader)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in {header}")
-        if bad := {len(row) for row in rows} - {len(header)}:
-            raise ValueError(f"{path}: row width {min(bad)} != header {len(header)}")
-        cells = list(zip(*rows)) if rows else [()] * len(header)
-        return cls(dict(zip(header, cells)))
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise ValueError(f"{path}: empty CSV")
+                if len(set(header)) != len(header):
+                    raise ValueError(f"{path}: duplicate column names in {header}")
+                numbers = {name for name in header if SCHEMA.get(name, "text") != "text"}
+                columns = {name: [] for name in header}  # float blocks or cells
+                while rows := list(itertools.islice(reader, BLOCK_ROWS)):
+                    if bad := {len(row) for row in rows} - {len(header)}:
+                        raise ValueError(f"{path}: row width {min(bad)} != header {len(header)}")
+                    for name, cells in zip(header, zip(*rows)):
+                        if name not in numbers:
+                            columns[name].extend(cells)
+                            continue
+                        try:
+                            columns[name].append(_floats(cells))
+                        except ValueError as exc:
+                            raise ValueError(f"column {name!r}: {exc}") from None
+                    del rows  # free this block's text before the next is read
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num} after the '#' lines: "
+                                 f"{exc}") from None
+        for name in numbers:
+            columns[name] = np.concatenate(columns[name] or [np.empty(0)])
+        return cls(columns)

@@ -79,15 +79,12 @@ def build_design(
     for name, values in (extra or {}).items():
         cols[name] = np.asarray(values, dtype=float)
     y = data.numeric(response)
-    stacked = np.column_stack([y] + list(cols.values()))
-    keep = ~np.isnan(stacked).any(axis=1)
-    return DesignMatrix(
-        y=y[keep],
-        X=np.column_stack([c[keep] for c in cols.values()]),
-        columns=list(cols),
-        response=response,
-        n_dropped=int((~keep).sum()),
-    )
+    X = np.column_stack(list(cols.values()))
+    keep = ~(np.isnan(y) | np.isnan(X).any(axis=1))
+    n_dropped = len(y) - int(np.count_nonzero(keep))
+    if n_dropped:
+        y, X = y[keep], X[keep]
+    return DesignMatrix(y=y, X=X, columns=list(cols), response=response, n_dropped=n_dropped)
 
 
 @dataclass
@@ -212,16 +209,18 @@ def balance_table(data: Dataset, covariates: Sequence[str]) -> BalanceTable:
     others = _comparison_arms(arms)
     if not others:
         raise ValueError("need at least two arms for a balance table")
+    masks = {a: arms == a for a in (BASELINE, *others)}
     means: dict[str, float] = {}
     pvals: dict[tuple[str, str], float] = {}
     for cov in covariates:
         values = data.numeric(cov)
-        base_vals = values[(arms == BASELINE) & ~np.isnan(values)]
+        present = ~np.isnan(values)
+        base_vals = values[masks[BASELINE] & present]
         if base_vals.size == 0:
             raise ValueError(f"baseline arm has no data for {cov!r}")
         means[cov] = float(base_vals.mean())
         for a in others:
-            other_vals = values[(arms == a) & ~np.isnan(values)]
+            other_vals = values[masks[a] & present]
             if other_vals.size == 0:
                 raise ValueError(f"arm {a!r} has no data for {cov!r}")
             pvals[(cov, a)] = _welch_p(base_vals, other_vals)
@@ -454,18 +453,18 @@ def polarization(
         colors, n_a, size=permutations, method=method)
     draws = np.vstack([np.bincount(inverse[:n_a], minlength=colors.size), draws])
     total1, total2 = int(colors @ x), int(colors @ (x * x))
-
-    def spread(s1: int, s2: int) -> tuple[int, int]:
-        """(larger, smaller) of the arms' variances, on one integer scale."""
-        p = (n_a * s2 - s1 * s1) * n_b * (n_b - 1)
-        q = (n_b * (total2 - s2) - (total1 - s1) ** 2) * n_a * (n_a - 1)
-        return max(p, q), min(p, q)
-
-    splits = map(spread, (draws @ x).tolist(), (draws @ (x * x)).tolist())
-    hi0, lo0 = next(splits)  # the observed split
+    # Per split, arm A's sum and sum of squares as Python ints (object arrays),
+    # so that the products below are exact; row 0 is the observed split.
+    s1 = np.array((draws @ x).tolist(), dtype=object)
+    s2 = np.array((draws @ (x * x)).tolist(), dtype=object)
+    # The arms' variances on one integer scale, then (larger, smaller) per split.
+    scaled_a = (n_a * s2 - s1 * s1) * (n_b * (n_b - 1))
+    scaled_b = (n_b * (total2 - s2) - (total1 - s1) ** 2) * (n_a * (n_a - 1))
+    hi, lo = np.maximum(scaled_a, scaled_b), np.minimum(scaled_a, scaled_b)
+    hi0, lo0 = hi[0], lo[0]
     if lo0 == 0:
         hi0 = 1  # observed ratio infinite: only splits with a constant arm reach it
-    hits = sum(hi * lo0 >= hi0 * lo for hi, lo in splits)
+    hits = int(np.count_nonzero(hi[1:] * lo0 >= hi0 * lo[1:]))
     p = (hits + 1) / (permutations + 1)
     grid_max = DEFAULT_GAME.endowment.euros
     return PolarizationReport(

@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.linalg import qr
 
 from thresholdgame import solver
-from thresholdgame.data import _FORMATS, SCHEMA, _check_units
+from thresholdgame.data import _FORMATS, SCHEMA, Dataset, _check_units
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.money import Money
 from thresholdgame.simulator import N_NORMALS, TIE_TOL
@@ -149,6 +149,55 @@ def exact_polarization_p(a, b):
         if 0 <= counts[-1] <= colors[-1] and statistic(counts) >= observed:
             tail += math.prod(math.comb(c, k) for c, k in zip(colors, counts))
     return Fraction(tail, math.comb(len(a) + len(b), len(a)))
+
+
+def polarization_p(data, arm_a, arm_b, permutations=999, seed=0):
+    """``econometrics.polarization``'s p-value from the same draws, one split
+    at a time: each split's (larger, smaller) variance on one integer scale
+    as Python ints, compared with the observed split's."""
+    arms = data.strings("treatment")
+    values = data.numeric("contribution")
+    a, b = values[arms == arm_a], values[arms == arm_b]
+    a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+    n_a, n_b = a.size, b.size
+    levels, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    cents = np.rint(levels * 100).astype(np.int64)
+    x = cents - cents[0]
+    colors = np.bincount(inverse)
+    method = "marginals" if 8 * colors.size < n_a else "count"
+    draws = np.random.default_rng(seed).multivariate_hypergeometric(
+        colors, n_a, size=permutations, method=method)
+    draws = np.vstack([np.bincount(inverse[:n_a], minlength=colors.size), draws])
+    total1, total2 = int(colors @ x), int(colors @ (x * x))
+
+    def spread(s1, s2):
+        p = (n_a * s2 - s1 * s1) * n_b * (n_b - 1)
+        q = (n_b * (total2 - s2) - (total1 - s1) ** 2) * n_a * (n_a - 1)
+        return max(p, q), min(p, q)
+
+    splits = map(spread, (draws @ x).tolist(), (draws @ (x * x)).tolist())
+    hi0, lo0 = next(splits)
+    if lo0 == 0:
+        hi0 = 1
+    hits = sum(hi * lo0 >= hi0 * lo for hi, lo in splits)
+    return (hits + 1) / (permutations + 1)
+
+
+def read_csv(path):
+    """``Dataset.read_csv`` in one shot: every row is read before any column
+    is parsed, and each column is decided on its whole list of cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
+        header = next(reader, None)
+        rows = list(reader)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in {header}")
+    if bad := {len(row) for row in rows} - {len(header)}:
+        raise ValueError(f"{path}: row width {min(bad)} != header {len(header)}")
+    cells = list(zip(*rows)) if rows else [()] * len(header)
+    return Dataset(dict(zip(header, cells)))
 
 
 def _csv_cells(name, col):

@@ -185,6 +185,16 @@ def test_analyze_money_off_the_cent_grid_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_field_over_the_csv_limit_is_config_error(tmp_path, capsys):
+    # The csv module refuses a field over 131,072 characters.
+    data = tmp_path / "huge.csv"
+    data.write_text("# metadata\nnote,x\na,1\n" + "b" * 200_000 + ",2\n")
+    assert main(["analyze", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"huge\.csv: line 3 after the '#' lines: field larger than field limit", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_power_command(capsys):
     code, out = run(["power", "--arms", "4", "--n", "1500", "--sd", "1.39"], capsys)
     assert code == 0

@@ -1,5 +1,7 @@
+import gc
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from thresholdgame.data import CSV_COLUMNS, SCHEMA, Dataset
+from thresholdgame import data as data_module
+from thresholdgame.data import BLOCK_ROWS, CSV_COLUMNS, SCHEMA, Dataset
 from thresholdgame.econometrics import analysis_battery, build_design
 from thresholdgame.game import GameSpec
 from thresholdgame.money import Money
@@ -251,3 +254,98 @@ def test_simulated_data_matches_the_csv_module(n_subjects, step):
     first = written(data, "seed=7")
     assert first == written(data, "seed=7", oracles.write_csv)
     assert written(reread(first), "seed=7") == first
+
+
+# --- the block reader against the one-shot oracle ---------------------------------
+
+def assert_same_columns(loaded, expected):
+    """Same names in the same order, same kinds, text equal and floats bit-equal
+    (NaN and -0.0 included)."""
+    assert list(loaded.columns) == list(expected.columns)
+    for name, col in loaded.columns.items():
+        other = expected.columns[name]
+        assert col.dtype.kind == other.dtype.kind, name
+        if col.dtype.kind == "f":
+            assert col.view(np.int64).tolist() == other.view(np.int64).tolist(), name
+        else:
+            assert col.tolist() == other.tolist(), name
+
+
+def read_both(path):
+    """(the reader's outcome, the oracle's): a Dataset or the ValueError's text."""
+    def outcome(read):
+        try:
+            return read(path)
+        except ValueError as exc:
+            return str(exc)
+    return outcome(Dataset.read_csv), outcome(oracles.read_csv)
+
+
+@given(datasets(), st.text(TEXT, max_size=6) | st.none())
+@example(Dataset({"x": [1.0, None, -0.0, 2.0]}), None)
+@example(Dataset({"age": [1.0] * 12, "site": ["1"] * 11 + ["lab"]}), "m")
+@settings(max_examples=150)
+def test_block_reader_matches_the_one_shot_oracle(data, header_comment):
+    # With three rows a block, a dataset of up to 12 rows spans up to 4 blocks.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "BLOCK_ROWS", 3)
+        path = Path(tmp) / "data.csv"
+        data.write_csv(path, header_comment)
+        loaded, expected = read_both(path)
+    assert_same_columns(loaded, expected)
+
+
+def boundary_file(path, n_rows, defect):
+    """A CSV of ``n_rows`` rows whose last row holds ``defect``: a blank number,
+    a bad number, a missing cell, or text in a column outside the schema that
+    holds numbers above it."""
+    rows = [[("RR", "AA")[i % 2], str(20 + i % 50), f"{i % 6}.50", str(i % 7)]
+            for i in range(n_rows)]
+    if defect == "blank":
+        rows[-1][1] = ""
+    elif defect == "bad number":
+        rows[-1][1] = "n/a"
+    elif defect == "ragged":
+        rows[-1].pop()
+    elif defect == "late text":
+        rows[-1][3] = "lab A"
+    lines = ["treatment,age,contribution,site"] + [",".join(row) for row in rows]
+    path.write_text("# metadata\n" + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+ROWS = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+DEFECTS = ("blank", "bad number", "ragged", "late text")
+
+
+@pytest.mark.parametrize("n_rows, defect", [(0, None)] + [(n, d) for n in ROWS[1:]
+                                                          for d in DEFECTS])
+def test_last_block_reads_as_the_one_shot_oracle_reads_it(tmp_path, n_rows, defect):
+    path = tmp_path / "data.csv"
+    boundary_file(path, n_rows, defect)
+    loaded, expected = read_both(path)
+    if defect in ("bad number", "ragged"):
+        assert isinstance(loaded, str) and loaded == expected
+        return
+    assert_same_columns(loaded, expected)
+    assert len(loaded) == n_rows
+    if defect == "blank":
+        assert np.isnan(loaded.numeric("age")[-1])
+    if defect == "late text":
+        assert loaded.strings("site")[-1] == "lab A"
+
+
+def test_reading_holds_about_one_block_of_text(tmp_path):
+    # The parse may hold the columns, a copy of them and one block's cells,
+    # not the whole file's: at most 4 times the columns' bytes (the one-shot
+    # reader takes about 7 times).
+    path = tmp_path / "simulated.csv"
+    simulate(SimConfig(n_subjects=6000), seed=3).write_csv(path, "seed=3")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = Dataset.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(col.nbytes for col in loaded.columns.values())
+    assert peak <= 4 * nbytes, f"peak {peak} bytes for {nbytes} bytes of columns"

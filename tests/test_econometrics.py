@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import exact_polarization_p, ols_hc1_pivoted
+from oracles import exact_polarization_p, ols_hc1_pivoted, polarization_p
 from scipy import stats
 
 from thresholdgame import econometrics
@@ -498,6 +498,31 @@ def test_polarization_counts_exact_ties(case):
     # Two-sided binomial band around the exact p; family-wise level 1e-3 over the cases.
     level = 1e-3 / len(TIE_CASES) / 2
     assert stats.binom.ppf(level, n, exact) <= hits <= stats.binom.isf(level, n, exact)
+
+
+@pytest.mark.parametrize("n_subjects", [1500, 6000])
+def test_polarization_matches_the_per_split_oracle_on_simulated_data(n_subjects):
+    data = simulator.simulate(SimConfig(n_subjects=n_subjects), seed=11)
+    for arm in ("AR", "RA", "AA"):
+        assert polarization(data, arm, "RR").p_value == polarization_p(data, arm, "RR")
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+@pytest.mark.parametrize("permutations", [999, 20_000])
+def test_polarization_matches_the_per_split_oracle_on_ties(case, permutations):
+    a, b = (expand(arm) for arm in TIE_CASES[case])
+    data = Dataset({"treatment": ["RA"] * len(a) + ["RR"] * len(b), "contribution": a + b})
+    assert (polarization(data, "RA", "RR", permutations=permutations).p_value
+            == polarization_p(data, "RA", "RR", permutations=permutations))
+
+
+def test_polarization_matches_the_per_split_oracle_with_a_constant_arm():
+    # The observed arm A is constant, so only splits with a constant arm count.
+    a, b = [1.0] * 3, [1.0] * 6 + [0.0, 5.0]
+    data = Dataset({"treatment": ["RA"] * 3 + ["RR"] * 8, "contribution": a + b})
+    p = polarization(data, "RA", "RR").p_value
+    assert p == polarization_p(data, "RA", "RR")
+    assert 0.3 < p < 0.8  # C(9,3)/C(11,3) of the splits leave arm A constant
 
 
 def test_polarization_rejects_a_range_too_wide_for_exact_sums():
