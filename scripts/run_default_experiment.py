@@ -1,31 +1,33 @@
 #!/usr/bin/env python3
-"""Simulate the default 1500-subject experiment and run the analysis battery
-on it (the sections of ``thresholdgame analyze``), then the design's MDE."""
+"""Simulate the default 1500-subject experiment with ``thresholdgame simulate``,
+run ``analyze`` on its CSV, then ``power`` for the design's MDE.  The CSV goes
+to ``--out`` with the CLI's provenance header, or to a temporary directory."""
 import argparse
+import os
+import sys
+import tempfile
 
-from thresholdgame.econometrics import analysis_battery, mde
-from thresholdgame.simulator import SimConfig, simulate
+from thresholdgame.cli import main as thresholdgame
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--n", type=int, default=1500)
     parser.add_argument("--out", help="also write the dataset CSV here")
     args = parser.parse_args()
 
-    config = SimConfig(n_subjects=args.n)
-    data = simulate(config, args.seed)
-    if args.out:
-        data.write_csv(args.out, f"seed={args.seed} n={args.n}")
-        print(f"wrote {args.out}")
-
-    print(f"Simulated {len(data)} subjects (seed {args.seed})\n")
-    for name, _, text in analysis_battery(data):
-        print(f"== {name}\n{text}\n")
+    seed, n = str(args.seed), str(args.n)
+    with tempfile.TemporaryDirectory() as tmp:
+        # Absolute, so that simulate writes where analyze reads.
+        data = os.path.abspath(args.out or os.path.join(tmp, "experiment.csv"))
+        code = (thresholdgame(["simulate", "--seed", seed, "--n", n, "--out", data])
+                or thresholdgame(["analyze", "--data", data]))
+    if code:
+        return code
     print("Design power:")
-    print(mde(4, args.n // 4, 1.39, mc_replications=10_000, seed=args.seed).render())
+    return thresholdgame(["power", "--n", n, "--seed", seed, "--mc", "10000"])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

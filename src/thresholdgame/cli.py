@@ -9,7 +9,7 @@ defaults it, and a flag on the command line wins.  ``utility`` (solve) and
 artifact file starts with '# key=value' comment lines carrying the tool
 version, the config hash, the seed and the parsed config, so identical
 configs reproduce files byte for byte.  Exit codes: 0 ok, 2 bad config/input,
-3 numerical failure, 4 enumeration cap exceeded.
+3 numerical failure.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .money import Money
 from .preferences import PowerUtility, utility_from_json
 from .simulator import RESOLUTION_POLICIES, RNG_FORMAT, BehavioralRule, SimConfig, simulate
 from .solver import (
-    EnumerationCapExceeded,
     enumerate_symmetric,
     equilibrium_table,
     hypothesis_report,
@@ -332,9 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, config = _with_config(commands, argv, args) if args.config else (args, {})
         return args.func(args, config)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (RankDeficientError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,18 +1,18 @@
-"""Utility families and symmetric-equilibrium conditions.
+"""Utility families and the one rule for payoff comparisons.
 
 A player keeping ``x`` euros after contributing gets utility ``u(x)`` with
 ``u(0) = 0`` and ``u`` strictly increasing; the objective at own contribution
-``c_i`` and others' total ``C_-i`` is ``u(endowment - c_i) * p(c_i + C_-i)``,
-whose comparisons ``solver.PayoffTable`` tabulates over the grid.
+``c_i`` and others' total ``C_-i`` is ``u(endowment - c_i) * p(c_i + C_-i)``.
 
-Every payoff comparison has one exact rule.  Comparing u(m) * q with
-u(m') * q', monotonicity of u settles it unless one side keeps more money at
-a lower step; then it is an ``EqCondition`` u(L) < k * u(m) with exact
-rational ``k``, which ``condition_sign`` decides.  A symmetric equilibrium's
-condition at a canonical total is the conjunction of the open comparisons of
-staying with each deviation, or "never"; for the built-in scenarios it is one
-``u(5) < k * u(m)`` or the empty conjunction, "holds for any u".  It is
-derived from the success curve itself, not hardcoded per treatment.
+No other module settles or decides a payoff comparison.  Comparing u(m) * q
+with u(m') * q', monotonicity of u settles it unless one side keeps more
+money at a lower step; then it is an ``EqCondition`` u(L) < k * u(m) with
+exact rational ``k``.  ``pair_table`` settles every two payoffs of a curve's
+grid once; ``pair_signs`` decides its open ones for a utility, as
+``condition_sign`` decides a condition.  A symmetric candidate total's
+condition, read from the pair table, is the conjunction of the open
+comparisons of staying with each deviation, or "never"; for the built-in
+scenarios it is one ``u(5) < k * u(m)`` or "holds for any u".
 """
 from __future__ import annotations
 
@@ -20,7 +20,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
+
+import numpy as np
 
 from .game import DEFAULT_GAME, GameSpec, SuccessCurve
 from .money import Money
@@ -154,51 +157,97 @@ def _sign(cond: EqCondition, u: UtilityFn) -> int:
     return (gap > 0) - (gap < 0)
 
 
+@lru_cache(maxsize=64)
+def pair_table(curve: SuccessCurve, game: GameSpec) -> tuple:
+    """The (kept money, step value) pair of each payoff u(kept) * p, the pair at
+    [own grid index, profile total in grid steps], the pairs that earn more than
+    0, and over two pairs (a, b): the sign of a's payoff less b's that
+    monotonicity of u settles (NaN if open), whether a keeps more money (an
+    open pair is then a lower bound), and an open one's rho*.  Cached and
+    read-only: every utility reuses them."""
+    kept = [game.endowment - c for c in game.contribution_grid()]
+    p = [curve.value_at(game.grid_step * t) for t in range(game.max_total // game.grid_step + 1)]
+    values = sorted(set(p))
+    n = len(values)
+    pairs = [(m, q) for m in kept for q in values]
+    at = np.arange(len(kept))[:, None] * n + [values.index(q) for q in p]
+    money, level = np.array([m.cents for m, _ in pairs]), np.tile(range(n), len(kept))
+    dm, dq = np.sign(np.subtract.outer(money, money)), np.sign(np.subtract.outer(level, level))
+    positive = (money > 0) & np.array([q > 0 for _, q in pairs])
+    settled = np.select([~np.logical_and.outer(positive, positive), dm * dq < 0],
+                        [np.subtract.outer(positive, positive, dtype=int), np.nan],
+                        np.sign(dm + dq))
+    # power_threshold of each open pair's EqCondition, term by term
+    log_k = [[math.log(float(a / b)) if a and b else 1.0 for b in values] for a in values]
+    log_r = [[math.log(b.euros / a.euros) if a.cents and b.cents else 1.0 for b in kept]
+             for a in kept]
+    rho_star = np.divide(np.tile(log_k, (len(kept),) * 2), np.kron(log_r, np.ones((n, n))),
+                         out=np.full(settled.shape, np.nan), where=np.isnan(settled))
+    arrays = at, positive, settled, dm > 0, rho_star
+    for array in arrays:
+        array.flags.writeable = False
+    return pairs, *arrays
+
+
+def pair_signs(table: tuple, u: UtilityFn) -> np.ndarray:
+    """Over two pairs (a, b) of ``table``: the sign of a's payoff less b's under
+    ``u``, settled, or decided as ``_sign`` decides the open pair's EqCondition."""
+    pairs, _, _, settled, lower, rho_star = table
+    if isinstance(u, PowerUtility):
+        gap = np.where(lower, u.rho - rho_star, rho_star - u.rho)
+    else:
+        rank = np.unique([Fraction(u(m.euros)) * q for m, q in pairs], return_inverse=True)[1]
+        gap = np.subtract.outer(rank, rank)
+    return np.where(np.isnan(settled), np.sign(gap), settled)
+
+
+def _symmetric_totals(curve: SuccessCurve, game: GameSpec) -> list[Money]:
+    """The symmetric candidate totals, ascending: the canonical totals whose
+    per-player share is on the grid (any other total is no symmetric profile)."""
+    n = game.n_players
+    return sorted(total for total in curve.canonical_totals()
+                  if total.cents % n == 0 and game.on_grid(Money(total.cents // n)))
+
+
+@lru_cache(maxsize=256)
+def symmetric_conditions(
+    curve: SuccessCurve, game: GameSpec
+) -> tuple[tuple[Money, ConditionResult], ...]:
+    """Each symmetric candidate total, ascending, with its condition.  Cached:
+    conditions depend on the curve and the game alone."""
+    return tuple((total, condition_from_curve(curve, total, game))
+                 for total in _symmetric_totals(curve, game))
+
+
 def condition_from_curve(
     curve: SuccessCurve, target_total: Money, game: GameSpec = DEFAULT_GAME
 ) -> ConditionResult:
-    """The strict-symmetric-equilibrium requirement at ``target_total``: the
-    conjunction of the comparisons that monotonicity of u leaves open, or
-    "never".
-
-    Candidate totals are 0 and the curve's breakpoints; each player contributes
-    target_total / n.  Deviation payoffs q*u(m) are compared against the stay
-    payoff p*u(m_stay) using only monotonicity of u, which settles every
-    comparison except a deviation to a lower step that keeps more money (an
-    upper bound on u's curvature) or to a higher step that keeps less (a lower
-    bound).  Only the maximal ones are kept, in grid order: beating (q', m')
-    implies beating (q, m) when q <= q' and m <= m'.  For the built-in games
-    the only one is the deviation to zero, giving the u(5) < k*u(m) form.
+    """The strict-symmetric-equilibrium requirement at ``target_total``, a
+    symmetric candidate total: the conjunction of the comparisons of staying
+    with a deviation that monotonicity of u leaves open, or "never".  One is
+    open when the deviation keeps more money at a lower step (an upper bound on
+    u's curvature) or less at a higher step (a lower bound).  Only the maximal
+    ones are kept, in grid order: beating (q', m') beats (q, m) when q <= q'
+    and m <= m'.  For the built-in games the only one is the deviation to
+    zero, giving the u(5) < k*u(m) form.
     """
-    candidates = curve.canonical_totals()
+    candidates = _symmetric_totals(curve, game)
     if target_total not in candidates:
-        raise ValueError(
-            f"total {target_total} is not a candidate equilibrium total; "
-            f"expected one of {sorted(m.compact() for m in candidates)}")
-    n = game.n_players
-    if target_total.cents % n != 0:
-        raise ValueError(f"total {target_total} not divisible across {n} players")
-    c_each = Money(target_total.cents // n)
-    if not game.on_grid(c_each):
-        raise ValueError(f"per-player contribution {c_each} is off the grid")
-
-    p_stay = curve.value_at(target_total)
-    m_stay = game.endowment - c_each
-    if p_stay == 0 or m_stay == Money(0):
-        # Stay payoff is identically zero; every deviation at least ties.
+        raise ValueError(f"total {target_total} is not a symmetric candidate total; "
+                         f"expected one of {[m.compact() for m in candidates]}")
+    pairs, at, positive, settled, *_ = pair_table(curve, game)
+    t = target_total // game.grid_step
+    g = t // game.n_players
+    stay = at[g, t]
+    h = np.delete(np.arange(len(at)), g)
+    deviations = at[h, t - g + h]  # deviating to h while the others stay
+    sign = settled[stay, deviations]
+    if not positive[stay] or (sign < 0).any():
+        # Staying earns nothing, so every deviation at least ties; or a
+        # deviation beats it for every u.
         return NEVER_EQUILIBRIUM
-
-    others = target_total - c_each
-    open_: list[tuple[Fraction, Money]] = []
-    for c_dev in game.contribution_grid():
-        q = curve.value_at(others + c_dev)
-        m_dev = game.endowment - c_dev
-        if c_dev == c_each or q == 0 or m_dev == Money(0):
-            continue  # staying itself, or a deviation that earns nothing
-        if q >= p_stay and m_dev > m_stay:
-            return NEVER_EQUILIBRIUM  # deviation at least as good for every u
-        if q > p_stay or m_dev > m_stay:  # a higher step, or more money kept
-            open_.append((q, m_dev))
-    return tuple(
-        EqCondition(lhs_point=m, factor=p_stay / q, rhs_point=m_stay) for q, m in open_
-        if not any(q2 >= q and m2 >= m and (q2, m2) != (q, m) for q2, m2 in open_))
+    open_ = deviations[np.isnan(sign)]
+    maximal = open_[~(settled[np.ix_(open_, open_)] == 1).any(0)]
+    m_stay, p_stay = pairs[stay]
+    return tuple(EqCondition(lhs_point=m, factor=p_stay / q, rhs_point=m_stay)
+                 for m, q in map(pairs.__getitem__, maximal.tolist()))

@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -352,13 +351,13 @@ def round_to_grid(x, game: GameSpec = DEFAULT_GAME) -> np.ndarray:
     return (k * game.grid_step.cents).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
 def _equilibrium_contribution(
     label: str, pessimism: float, pick: str, game: GameSpec
 ) -> Money:
     totals = paper_totals(arm_curve(label, pessimism, game), RISK_NEUTRAL, game)
     if not totals:
-        return Money(0)
+        raise ValueError(f"arm {label} has no paper-mode equilibrium total at pessimism "
+                         f"{pessimism} in {game}: the equilibrium selector has none to pick")
     total = max(totals) if pick == "max" else min(totals)
     return Money(total.cents // game.n_players)
 

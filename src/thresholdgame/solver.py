@@ -1,5 +1,7 @@
 """Pure-strategy Nash enumeration, dominance flags, summary tables, robustness sweeps.
 
+Profiles, tables and reports; ``preferences`` settles or decides every payoff comparison.
+
 "Paper mode" applies the selection used in the theoretical benchmark: keep
 strict symmetric equilibria at the canonical totals (0 and the curve's
 breakpoints) and drop equilibria where everyone earns exactly zero.  The
@@ -9,10 +11,8 @@ notions disagree for some utilities, and both are reported.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
@@ -27,9 +27,11 @@ from .preferences import (
     ConditionResult,
     PowerUtility,
     UtilityFn,
-    condition_from_curve,
     condition_sign,
+    pair_signs,
+    pair_table,
     power_threshold,
+    symmetric_conditions,
 )
 
 
@@ -72,8 +74,8 @@ class PayoffTable:
     Payoffs depend on opponents only through their total, so one table serves
     every profile: a profile whose grid indices sum to ``t`` is Nash iff every
     own index ``g`` is a best reply at others' index ``t - g``.  Every flag
-    reads exact signs of payoff comparisons: monotonicity of u settles most,
-    and ``condition_sign``'s rule decides each open one's ``EqCondition``.
+    indexes the exact signs that ``preferences.pair_signs`` gives the pairs
+    of its payoff comparisons.
     """
 
     def __init__(self, curve: SuccessCurve, u: UtilityFn, game: GameSpec):
@@ -81,15 +83,10 @@ class PayoffTable:
         self.grid = game.contribution_grid()
         g = np.arange(len(self.grid))
         s = np.arange((game.n_players - 1) * g[-1] + 1)
-        pairs, at, positive, settled, lower, rho_star = _pairs(curve, game)
+        _, at, positive, *_ = pairs = pair_table(curve, game)
         cell = at[g[:, None], g[:, None] + s]  # the pair of each (own, others' total)
-        if isinstance(u, PowerUtility):
-            gap = np.where(lower, u.rho - rho_star, rho_star - u.rho)
-        else:
-            rank = np.unique([Fraction(u(m.euros)) * q for m, q in pairs], return_inverse=True)[1]
-            gap = np.subtract.outer(rank, rank)
         # sign[g, h, s]: staying at g against deviating to h, the others at s.
-        self.sign = np.where(np.isnan(settled), np.sign(gap), settled)[cell[:, None], cell]
+        self.sign = pair_signs(pairs, u)[cell[:, None], cell]
         self.nash = (self.sign >= 0).all(1)
         self.tied = ((self.sign == 0) & ~np.eye(len(g), dtype=bool)[:, :, None]).any(1)
         self.zero = ~positive[cell]
@@ -99,43 +96,12 @@ class PayoffTable:
                         if c.is_multiple_of(game.grid_step)]] = True
         #: The condition of each symmetric profile total that has one.
         self.conditions = {total // game.grid_step: cond
-                           for total, cond in _symmetric_conditions(curve, game)}
+                           for total, cond in symmetric_conditions(curve, game)}
 
     @cached_property
     def dominated(self) -> np.ndarray:
         """Textbook weak dominance per strategy, over all opponent totals."""
         return ((self.sign <= 0).all(2) & (self.sign < 0).any(2)).any(1)
-
-
-@lru_cache(maxsize=64)
-def _pairs(curve: SuccessCurve, game: GameSpec) -> tuple:
-    """The (kept money, step value) pair of each payoff u(kept) * p, the pair at
-    [own grid index, profile total], the pairs that earn more than 0, and over
-    two pairs (a, b): the sign of a's payoff less b's that monotonicity of u
-    settles (NaN if open), whether a keeps more money, and an open one's rho*.
-    Cached and read-only: every utility reuses them."""
-    kept = [game.endowment - c for c in game.contribution_grid()]
-    p = [curve.value_at(game.grid_step * t) for t in range(game.max_total // game.grid_step + 1)]
-    values = sorted(set(p))
-    n = len(values)
-    pairs = [(m, q) for m in kept for q in values]
-    at = np.arange(len(kept))[:, None] * n + [values.index(q) for q in p]
-    money, level = np.array([m.cents for m, _ in pairs]), np.tile(range(n), len(kept))
-    dm, dq = np.sign(np.subtract.outer(money, money)), np.sign(np.subtract.outer(level, level))
-    positive = (money > 0) & np.array([q > 0 for _, q in pairs])
-    settled = np.select([~np.logical_and.outer(positive, positive), dm * dq < 0],
-                        [np.subtract.outer(positive, positive, dtype=int), np.nan],
-                        np.sign(dm + dq))
-    # power_threshold(EqCondition(kept_b, value_a / value_b, kept_a)), term by term
-    log_k = [[math.log(float(a / b)) if a and b else 1.0 for b in values] for a in values]
-    log_r = [[math.log(b.euros / a.euros) if a.cents and b.cents else 1.0 for b in kept]
-             for a in kept]
-    rho_star = np.divide(np.tile(log_k, (len(kept),) * 2), np.kron(log_r, np.ones((n, n))),
-                         out=np.full(settled.shape, np.nan), where=np.isnan(settled))
-    arrays = at, positive, settled, dm > 0, rho_star
-    for array in arrays:
-        array.flags.writeable = False
-    return pairs, *arrays
 
 
 def _records(table: PayoffTable, profiles: list[tuple[int, ...]]) -> list[EquilibriumRecord]:
@@ -257,7 +223,7 @@ class EquilibriumTable:
 def paper_totals(curve: SuccessCurve, u: UtilityFn, game: GameSpec = DEFAULT_GAME) -> list[Money]:
     """The paper-mode symmetric equilibrium totals under ``u``, ascending: the
     canonical totals whose condition holds strictly."""
-    return [total for total, cond in _symmetric_conditions(curve, game)
+    return [total for total, cond in symmetric_conditions(curve, game)
             if condition_sign(cond, u) == 1]
 
 
@@ -291,18 +257,6 @@ def robust_table(
         raise ValueError(f"invalid rho range: {rho_range}")
     top = lo if samples == 1 or lo == hi else lo * (hi / lo)  # the last log-spaced sample
     return equilibrium_table(PowerUtility(top), alpha, game)
-
-
-@lru_cache(maxsize=256)
-def _symmetric_conditions(
-    curve: SuccessCurve, game: GameSpec
-) -> tuple[tuple[Money, ConditionResult], ...]:
-    """Each canonical total whose per-player share is on the grid (else it is
-    no profile), ascending, with its condition.  Cached: conditions depend on
-    the curve and the game alone."""
-    return tuple((total, condition_from_curve(curve, total, game))
-                 for total in sorted(curve.canonical_totals())
-                 if total.is_multiple_of(game.grid_step * game.n_players))
 
 
 @dataclass(frozen=True)
@@ -368,7 +322,7 @@ def hypothesis_report(alpha: float, game: GameSpec = DEFAULT_GAME) -> Hypothesis
     summaries = []
     for label in TABLE_TREATMENTS:
         curve = arm_curve(label, alpha, game)
-        conditions = _symmetric_conditions(curve, game)
+        conditions = symmetric_conditions(curve, game)
         summaries.append(TreatmentSummary(
             label=label,
             equilibrium_totals=tuple(paper_totals(curve, RISK_NEUTRAL, game)),

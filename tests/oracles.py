@@ -14,6 +14,7 @@ from thresholdgame import solver
 from thresholdgame.data import _FORMATS, SCHEMA, Dataset, _check_units
 from thresholdgame.game import DEFAULT_GAME
 from thresholdgame.money import Money
+from thresholdgame.preferences import NEVER_EQUILIBRIUM, EqCondition
 from thresholdgame.simulator import N_NORMALS, TIE_TOL
 
 
@@ -25,6 +26,41 @@ def strictly_less(lhs, rhs):
 def check_condition(cond, u):
     """True iff u(lhs) < k * u(rhs) holds strictly (ties are not strict)."""
     return strictly_less(u(cond.lhs_point.euros), float(cond.factor) * u(cond.rhs_point.euros))
+
+
+def condition_by_deviation(curve, target_total, game=DEFAULT_GAME):
+    """``preferences.condition_from_curve`` one deviation at a time, with no
+    pair table: each deviation's (step value q, kept money m) is compared with
+    staying's by monotonicity of u, the open ones are kept, then the maximal
+    open ones (beating (q', m') beats (q, m) when q <= q' and m <= m')."""
+    candidates = curve.canonical_totals()
+    if target_total not in candidates:
+        raise ValueError(f"total {target_total} is not a candidate equilibrium total")
+    n = game.n_players
+    if target_total.cents % n != 0:
+        raise ValueError(f"total {target_total} not divisible across {n} players")
+    c_each = Money(target_total.cents // n)
+    if not game.on_grid(c_each):
+        raise ValueError(f"per-player contribution {c_each} is off the grid")
+
+    p_stay = curve.value_at(target_total)
+    m_stay = game.endowment - c_each
+    if p_stay == 0 or m_stay == Money(0):
+        return NEVER_EQUILIBRIUM  # staying earns nothing; every deviation at least ties
+    others = target_total - c_each
+    open_ = []
+    for c_dev in game.contribution_grid():
+        q = curve.value_at(others + c_dev)
+        m_dev = game.endowment - c_dev
+        if c_dev == c_each or q == 0 or m_dev == Money(0):
+            continue  # staying itself, or a deviation that earns nothing
+        if q >= p_stay and m_dev > m_stay:
+            return NEVER_EQUILIBRIUM  # deviation at least as good for every u
+        if q > p_stay or m_dev > m_stay:  # a higher step, or more money kept
+            open_.append((q, m_dev))
+    return tuple(
+        EqCondition(lhs_point=m, factor=p_stay / q, rhs_point=m_stay) for q, m in open_
+        if not any(q2 >= q and m2 >= m and (q2, m2) != (q, m) for q2, m2 in open_))
 
 
 def payoff_paper_totals(curve, u, game=DEFAULT_GAME):

@@ -414,6 +414,20 @@ def test_simulate_bad_rule_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_equilibrium_selector_without_a_paper_total_is_config_error(tmp_path, capsys):
+    # On the 2.50 grid AR and AA keep no paper-mode total, so the selector has
+    # no contribution to give their subjects: exit 2, naming the arm, the
+    # pessimism weight and the game, and write no data.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rule": {"kind": "equilibrium-selector"}}))
+    out = tmp_path / "sel.csv"
+    code = main(["simulate", "--n", "200", "--seed", "1", "--grid-step", "2.50",
+                 "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "arm AA" in err and "pessimism 1.0" in err and "grid_step=Money(cents=250)" in err
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLDGAME_OUT", str(tmp_path))
     code, _ = run(["simulate", "--n", "20", "--seed", "1", "--out", "sub/run.csv"], capsys)
@@ -424,25 +438,6 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
 def test_bad_alpha_is_config_error(capsys):
     code, _ = run(["curve", "--alpha", "1.5"], capsys)
     assert code == 2
-
-
-def test_fine_grid_cap_exit_code(tmp_path, capsys):
-    # a 1-cent grid would need 501^5 profiles; solve stays symmetric so use
-    # the solver cap through a direct call instead: the CLI surfaces code 4
-    from thresholdgame.cli import main as cli_main
-    import thresholdgame.cli as cli_mod
-    import thresholdgame.solver as solver_mod
-
-    def boom(*a, **k):
-        raise solver_mod.EnumerationCapExceeded(10_000, 100)
-
-    orig = cli_mod.enumerate_symmetric
-    cli_mod.enumerate_symmetric = boom
-    try:
-        code = cli_main(["solve", "--alpha", "1"])
-    finally:
-        cli_mod.enumerate_symmetric = orig
-    assert code == 4
 
 
 @pytest.mark.parametrize("mode, alpha, rho, step", [

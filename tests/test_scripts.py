@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from thresholdgame.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -38,3 +40,15 @@ def test_ate_coverage_audit_smoke():
     result = run_script("ate_coverage_audit.py", "--seeds", "5")
     assert result.returncode == 0, result.stderr
     assert "two-SE coverage" in result.stdout
+
+
+def test_run_default_experiment_writes_the_simulate_csv(tmp_path):
+    # The script's dataset is `thresholdgame simulate`'s, provenance header included.
+    out = tmp_path / "exp.csv"
+    result = run_script("run_default_experiment.py", "--n", "200", "--seed", "1",
+                        "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(f"wrote {out} (200 subjects)\n== balance\n")
+    reference = tmp_path / "simulate.csv"
+    assert main(["simulate", "--n", "200", "--seed", "1", "--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()

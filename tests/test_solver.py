@@ -14,6 +14,7 @@ from oracles import (
     brute_force,
     check_condition,
     classify_profile,
+    condition_by_deviation,
     nash_profiles,
     payoff_paper_totals,
 )
@@ -38,6 +39,7 @@ from thresholdgame.preferences import (
     NEVER_EQUILIBRIUM,
     PowerUtility,
     TableUtility,
+    condition_from_curve,
     condition_sign,
     power_threshold,
 )
@@ -305,6 +307,44 @@ def test_random_scenarios_match_the_payoff_oracles(case):
         found = [(r.profile.contributions, r.kind, r.zero_payoff)
                  for r in enumerate_all_profiles(curve, u, game)]
         assert sorted(found) == sorted(nash_profiles(curve, u, game))
+
+
+def assert_conditions_match_the_oracle(c, game, probes):
+    """condition_from_curve equals the per-deviation oracle at each probed
+    total that is a symmetric candidate, and raises ValueError at every other;
+    returns the number of candidates."""
+    candidates = 0
+    for total in probes:
+        try:
+            expected = condition_by_deviation(c, total, game)
+        except ValueError:
+            with pytest.raises(ValueError):
+                condition_from_curve(c, total, game)
+            continue
+        assert condition_from_curve(c, total, game) == expected, (c, game, total)
+        candidates += 1
+    return candidates
+
+
+@given(case=random_cases())
+@settings(max_examples=100)
+def test_random_conditions_match_the_per_deviation_oracle(case):
+    # Every total on the quarter-euro grid, which holds each canonical total.
+    c, _, game = case
+    assert_conditions_match_the_oracle(
+        c, game, [Money(t) for t in range(0, game.max_total.cents + 1, 25)])
+
+
+def test_built_in_conditions_match_the_per_deviation_oracle():
+    candidates = 0
+    for n, step, alpha in itertools.product(range(1, 9), ("5.00", "2.50", "1.00", "0.50", "0.25"),
+                                            [F(k, 20) for k in range(21)]):
+        game = GameSpec(n, grid_step=Money.parse(step))
+        for label in TABLE_TREATMENTS:
+            c = build_success_curve(make_scenario(label), alpha, game)
+            candidates += assert_conditions_match_the_oracle(
+                c, game, sorted(c.canonical_totals() | {Money(1)}))
+    assert candidates > 3000
 
 
 # --- one rule for every cell ------------------------------------------------------
